@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .core import SpectralPoint, WeightProfile, ZGrid
-from .experiments import ExperimentSpec, make_profile, run_experiment
-from .fixed_point import SolverConfig, build_certificate, solve_e0, solve_grid
+from .experiments import ExperimentSpec, default_xmax, make_profile, run_experiment
+from .fixed_point import NEAR_AXIS_MAX_ITER, SolverConfig, build_certificate, solve_e0, solve_grid
 from .random_spectra import EntrySampler, FAMILIES, TruncationPipelineConfig, empirical_spectrum
 from .stieltjes import InversionConfig, density_curve, edge_refined_grid
 from .tightness import plan_truncation
@@ -147,7 +147,7 @@ def load_profile(args, config: dict, seed: int) -> WeightProfile:
 def solver_from(args, config: dict) -> SolverConfig:
     return SolverConfig(
         tol=float(resolve(args, config, "tol", 1e-12, float)),
-        max_iter=int(resolve(args, config, "max_iter", 300_000, int)),
+        max_iter=int(resolve(args, config, "max_iter", NEAR_AXIS_MAX_ITER, int)),
         damping=float(resolve(args, config, "damping", 1.0, float)),
     )
 
@@ -166,16 +166,19 @@ def cmd_solve(args, config) -> int:
     out = args.out or "solve.csv"
 
     def write(fh):
-        head = ["x", "v", "residual", "rho_C0", "identity_defect", "iterations",
-                "converged", "g_re", "g_im"]
-        head += [f"e0_re_{k}" for k in range(profile.N)]
-        head += [f"e0_im_{k}" for k in range(profile.N)]
+        records = [s.to_record() for s in sols]
+        head = []
+        for key, val in records[0].items():
+            head += [f"{key}_{k}" for k in range(len(val))] if isinstance(val, list) else [key]
         fh.write(",".join(head) + "\n")
-        for s in sols:
-            row = [_fmt(s.z.x), _fmt(s.z.v), _fmt(s.residual), _fmt(s.rho_C0),
-                   _fmt(s.identity_defect), str(s.iterations), str(int(s.converged)),
-                   _fmt(s.g.real), _fmt(s.g.imag)]
-            row += [_fmt(val) for val in s.e0.real] + [_fmt(val) for val in s.e0.imag]
+        for record in records:
+            row = []
+            for val in record.values():
+                if isinstance(val, list):
+                    row += [_fmt(x) for x in val]
+                else:
+                    # integers (iterations) and flags (converged) print as integers
+                    row.append(str(int(val)) if isinstance(val, int) else _fmt(val))
             fh.write(",".join(row) + "\n")
 
     atomic_write(out, write)
@@ -192,8 +195,7 @@ def cmd_density(args, config) -> int:
     profile = load_profile(args, config, seed)
     scfg = solver_from(args, config)
     xmin = float(resolve(args, config, "xmin", -0.5, float))
-    xmax = float(resolve(args, config, "xmax", None, float) or
-                 1.25 * profile.max_entry**2 * (1 + np.sqrt(profile.c)) ** 2 + 0.1)
+    xmax = float(resolve(args, config, "xmax", None, float) or default_xmax(profile))
     points = int(resolve(args, config, "points", 141, int))
     etas = args.eta or parse_floats(config.get("eta", "")) or (1e-2, 5e-3, 2.5e-3)
     grid = edge_refined_grid(xmin, xmax, n_uniform=points,

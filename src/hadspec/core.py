@@ -7,7 +7,6 @@ live with the operations, not here.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -111,11 +110,14 @@ class WeightProfile:
         d2 = self.squared
         rows, row_mult = np.unique(d2, axis=0, return_counts=True)
         cols, col_inverse, col_mult = _unique_columns(rows)
+        row_mult, col_mult = row_mult.astype(float), col_mult.astype(float)
         return ReducedProfile(
             d2=_readonly(cols),
-            row_mult=_readonly(row_mult.astype(float)),
-            col_mult=_readonly(col_mult.astype(float)),
+            row_mult=_readonly(row_mult),
+            col_mult=_readonly(col_mult),
             col_inverse=_readonly(col_inverse),
+            inner=_readonly(cols * col_mult / self.N),
+            outer=_readonly((cols * row_mult[:, None]).T / self.n),
         )
 
     def scaled(self, s: float) -> "WeightProfile":
@@ -138,11 +140,6 @@ class WeightProfile:
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
         return validate_profile(raw)
 
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
-
 
 @dataclass(frozen=True)
 class ReducedProfile:
@@ -152,6 +149,9 @@ class ReducedProfile:
     row_mult: np.ndarray      # (nr,) float multiplicities, sums to n
     col_mult: np.ndarray      # (nc,) float multiplicities, sums to N
     col_inverse: np.ndarray   # (N,) index of each original column in d2
+    # the reduced fixed-point map is e -> outer @ 1 / (inner @ 1/(1 + c e) - z)
+    inner: np.ndarray         # (nr, nc) d2 * col_mult / N
+    outer: np.ndarray         # (nc, nr) (d2 * row_mult).T / n
 
 
 def _unique_columns(a: np.ndarray):

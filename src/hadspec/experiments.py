@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import WeightProfile, validate_profile
-from .fixed_point import SolverConfig
+from .fixed_point import NEAR_AXIS_MAX_ITER, SolverConfig
 from .metrics import DEFAULT_I_MAX, d_metric, ks_distance
 from .random_spectra import EntrySampler, empirical_spectrum
 from .stieltjes import InversionConfig, density_curve, edge_refined_grid
@@ -61,10 +61,14 @@ def make_profile(generator: str, n: int, N: int, seed: int = 0) -> WeightProfile
     raise ValueError(f"unknown profile generator {generator!r}; choose from {GENERATORS}")
 
 
+def default_xmax(profile: WeightProfile) -> float:
+    """Right end of the inversion grid: 1.25 times the spectral-edge bound, plus 0.1."""
+    return 1.25 * profile.max_entry**2 * (1.0 + np.sqrt(profile.c)) ** 2 + 0.1
+
+
 def default_x_grid(profile: WeightProfile) -> np.ndarray:
     """Inversion grid sized to the profile's spectral scale, edge-refined at 0."""
-    c = profile.c
-    hi = 1.25 * profile.max_entry**2 * (1.0 + np.sqrt(c)) ** 2 + 0.1
+    hi = default_xmax(profile)
     lo = -0.05 * hi - 0.1
     return edge_refined_grid(lo, hi, n_uniform=141, n_edge=50, width=min(0.25 * hi, 0.3))
 
@@ -81,7 +85,7 @@ class ExperimentSpec:
     master_seed: int = 0
     i_max: int = DEFAULT_I_MAX
     eta_sequence: tuple = (1e-2, 5e-3, 2.5e-3)
-    solver: SolverConfig = field(default_factory=lambda: SolverConfig(max_iter=300_000))
+    solver: SolverConfig = field(default_factory=lambda: SolverConfig(max_iter=NEAR_AXIS_MAX_ITER))
 
     def __post_init__(self):
         sizes = tuple((int(n), int(N)) for n, N in self.sizes)

@@ -5,15 +5,24 @@ The iteration map sends e in (C+)^N to
     T(e)_j = (1/n) sum_i d_ij^2 / ( (1/N) sum_k d_ik^2 / (1 + (n/N) e_k) - z ),
 
 whose unique fixed point in the upper half-plane defines the deterministic
-equivalent's Stieltjes transform G(z) = (1/n) sum_i 1/denom_i.  Convergence
-of the plain iteration is guaranteed only locally; the solver damps
-adaptively for global robustness, and every solution ships with the
-spectral-radius certificate rho(C0) < 1 plus the imaginary-part identity
-defect, which together certify uniqueness and local stability.
+equivalent's Stieltjes transform G(z) = (1/n) sum_i 1/denom_i.
 
-Identical columns of the weight profile provably carry identical solution
-components, so the iteration runs on the deduplicated (reduced) system and
-expands afterwards; results are identical up to floating-point grouping.
+Identical rows and columns of the variance profile carry identical
+denominators and solution components, so every solve runs on the
+deduplicated (reduced) system and expands afterwards; results are identical
+up to floating-point grouping.  One kernel, ``_damped``, iterates the reduced
+map on a block of P points at once with the averaged iteration
+e <- e + alpha (T(e) - e) of Helton, Rashidi Far and Speicher (IMRN 2007),
+which never leaves C+.  Plain iteration converges only locally, so each
+point adapts its own alpha (see SolverConfig).  ``solve_e0`` is that kernel
+at P = 1 plus the certificate: the spectral radius rho(C0) < 1 and the
+imaginary-part identity defect, which together certify uniqueness and local
+stability.  ``solve_batch`` is the kernel on a horizontal line of points;
+``batch_G`` and ``batch_rho`` evaluate G and rho(C0) on its result.
+
+The full-size maps (row_denominators, iterate_e, build_certificate,
+cross_contraction_matrix) are the spec surface and the reference the
+reduced kernel is tested against.
 """
 
 from __future__ import annotations
@@ -29,6 +38,10 @@ _POWER_TOL = 1e-12
 _POWER_CAP = 50_000
 _POWER_STALL = 1e-10
 
+# Horizontal sweeps close to the real axis converge at rate 1 - O(eta);
+# the generic solver default of 10k map applications is not enough there.
+NEAR_AXIS_MAX_ITER = 300_000
+
 
 class NonpositiveImaginaryInputError(ValueError):
     """An input vector left the open upper half-plane."""
@@ -39,8 +52,8 @@ class SolverConfig:
     """Fixed-point solver knobs.
 
     damping is the initial mixing weight alpha in e <- (1-alpha) e + alpha T(e);
-    it is halved (floor 1/64) whenever the residual increases and restored
-    after 10 consecutive decreases.
+    it is halved (floor 1/64) whenever the residual increases or a step would
+    leave the upper half-plane, and restored after 10 consecutive decreases.
     """
 
     tol: float = 1e-12
@@ -114,40 +127,41 @@ def iterate_e(profile: WeightProfile, e, z) -> np.ndarray:
     return profile.squared.T @ (1.0 / denom) / profile.n
 
 
-def _g_from_denominators(denom: np.ndarray) -> complex:
-    return complex(np.mean(1.0 / denom))
-
-
 def evaluate_G(profile: WeightProfile, sol: FixedPointSolution, strict: bool = True) -> complex:
     """Stieltjes transform G(z) = (1/n) sum_i 1/denom_i at a solved point."""
     if strict and not sol.converged:
         raise ValueError("solution is not converged; pass strict=False to evaluate anyway")
     denom = row_denominators(profile, sol.e0, sol.z)
-    return _g_from_denominators(denom)
+    return complex(np.mean(1.0 / denom))
 
 
 # ---------------------------------------------------------------------------
-# reduced-system kernels
+# reduced-system kernel: e_red has shape (unique columns, P points)
 # ---------------------------------------------------------------------------
 
-def _reduced_parts(profile: WeightProfile):
+def _real_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # real @ complex as one real product on the (re, im) pairs
+    return (a @ np.ascontiguousarray(b).view(float)).view(complex)
+
+
+def _denominators(red, c, e, zs) -> np.ndarray:
+    """Inner denominators on the unique rows, one column per z."""
+    return _real_times(red.inner, 1.0 / (1.0 + c * e)) - zs
+
+
+def _map(red, c, e, zs) -> np.ndarray:
+    return _real_times(red.outer, 1.0 / _denominators(red, c, e, zs))
+
+
+def _reduced_G(profile: WeightProfile, denom: np.ndarray) -> np.ndarray:
+    return (profile.reduced.row_mult @ (1.0 / denom)) / profile.n
+
+
+def _cold_start(profile: WeightProfile, v) -> np.ndarray:
+    # exact large-v asymptote: e_j ~ i t_j / v, t_j the column masses
     red = profile.reduced
-    # weighted rows enter e-updates; column masses give the cold start
     t_red = (red.row_mult @ red.d2) / profile.n
-    return red, t_red
-
-
-def _iterate_reduced(red, n, N, c, e, z):
-    """Map on unique columns; e has shape (nc,) or (nc, P) for P grid points."""
-    w = red.col_mult[:, None] / (1.0 + c * e) if e.ndim == 2 else red.col_mult / (1.0 + c * e)
-    denom = red.d2 @ w / N - z
-    back = (red.d2 * red.row_mult[:, None]).T @ (1.0 / denom) / n
-    return back, denom
-
-
-def _cold_start(t_red: np.ndarray, v) -> np.ndarray:
-    # exact large-v asymptote: e_j ~ i t_j / v
-    return 1j * np.multiply.outer(t_red, 1.0 / np.asarray(v)) if np.ndim(v) else 1j * t_red / v
+    return 1j * (t_red[:, None] / np.atleast_1d(v))
 
 
 def _expand(red, e_red: np.ndarray) -> np.ndarray:
@@ -158,6 +172,58 @@ def _restrict(red, e_full: np.ndarray) -> np.ndarray:
     # representative value per group: first original column in each group
     _, first = np.unique(red.col_inverse, return_index=True)
     return np.asarray(e_full, dtype=complex)[first]
+
+
+def _damped(red, c, e, zs, cfg: SolverConfig):
+    """Damped iteration of the reduced map, each column at its own z.
+
+    Column p steps e <- e + alpha_p (T(e) - e).  alpha_p halves (floor
+    1/64) when the residual max|T(e) - e| grows and returns to cfg.damping
+    after 10 consecutive decreases.  A candidate with a component outside
+    C+ cannot occur for alpha in (0, 1] in exact arithmetic; against
+    underflow it is rejected, never projected: the iterate stays, alpha_p
+    halves and the step counts toward max_iter.  A column freezes once its
+    residual reaches tol or it has used max_iter map applications, and it
+    ends on its best iterate.  Overwrites e; returns (e, residuals,
+    map applications per column).
+    """
+    P = e.shape[1]
+    fe = _map(red, c, e, zs)
+    res = abs(fe - e).max(axis=0)
+    iters = np.ones(P, dtype=int)
+    alpha = np.full(P, cfg.damping)
+    restore_at = np.zeros(P, dtype=int)     # k at which alpha returns to cfg.damping
+    best_e, best_res = np.empty_like(e), np.full(P, np.inf)
+    active = res > cfg.tol
+    k = 1                                   # map applications of every running column
+    while k < cfg.max_iter and (count := np.count_nonzero(active)):
+        # basic slices while every column runs; compact once some froze
+        idx = slice(None) if count == P else np.flatnonzero(active)
+        ea, fea, ra = e[:, idx], fe[:, idx], res[idx]
+        cand = ea + alpha[idx] * (fea - ea)
+        bad = (cand.imag <= 0).any(axis=0)
+        if bad.any():
+            cand[:, bad] = ea[:, bad]
+        fc = _map(red, c, cand, zs[idx])
+        res_c = abs(fc - cand).max(axis=0)
+        worse = (res_c > ra) | bad
+        if worse.any():
+            cols = np.arange(P)[idx][worse]
+            # the iterate before a residual increase may be its column's best
+            keep = ra[worse] < best_res[cols]
+            best_e[:, cols[keep]] = ea[:, worse][:, keep]
+            best_res[cols[keep]] = ra[worse][keep]
+            alpha[cols] = np.maximum(alpha[cols] / 2.0, _MIN_DAMPING)
+            restore_at[cols] = k + 11     # after 10 consecutive decreases
+        e[:, idx], fe[:, idx], res[idx] = cand, fc, res_c
+        iters += active
+        k += 1
+        alpha[restore_at == k] = cfg.damping
+        active = res > cfg.tol
+    use = best_res < res
+    if use.any():
+        e[:, use], res[use] = best_e[:, use], best_res[use]
+    return e, res, iters
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +256,18 @@ def spectral_radius_nonneg(C: np.ndarray, start: np.ndarray,
     return new, stalled
 
 
-def _certificate_reduced(red, n, N, c, v, e_red, denom_red):
-    """rho(C0) and the identity defect via the group-collapsed system.
+def _certificate_reduced(profile: WeightProfile, v, e_red, denom_red):
+    """rho(C0) and the identity defect at one point via the group-collapsed system.
 
     Nonzero eigenvectors of C0 are constant on groups of identical columns,
     so the Perron value of the nc x nc collapsed matrix equals rho(C0).
     """
+    red = profile.reduced
+    c = profile.c
     inv_abs2 = 1.0 / np.abs(denom_red) ** 2                     # (nr,)
     wcol = 1.0 / np.abs(1.0 + c * e_red) ** 2                   # (nc,)
-    core = (red.d2 * (red.row_mult * inv_abs2)[:, None]).T @ red.d2   # (nc, nc)
-    C_red = core / N**2 * (wcol * red.col_mult)[None, :]
-    b_red = (red.d2 * red.row_mult[:, None]).T @ inv_abs2 / n   # (nc,)
+    C_red = (red.outer * (c * inv_abs2)) @ (red.inner * wcol)  # (nc, nc)
+    b_red = red.outer @ inv_abs2                                # (nc,)
     e2 = e_red.imag
     defect = float(np.max(np.abs(e2 - C_red @ e2 - v * b_red)))
     rho, stalled = spectral_radius_nonneg(C_red, b_red)
@@ -259,59 +326,24 @@ def solve_e0(profile: WeightProfile, z, cfg: SolverConfig | None = None,
     """
     cfg = cfg or SolverConfig()
     zc = _as_z(z)
-    red, t_red = _reduced_parts(profile)
-    n, N, c = profile.n, profile.N, profile.c
+    red = profile.reduced
     if warm_start is not None:
-        e = _restrict(red, np.asarray(warm_start, dtype=complex))
+        e = _restrict(red, warm_start)[:, None]
         _check_upper(e)
     else:
-        e = _cold_start(t_red, zc.imag)
-
-    fe, denom = _iterate_reduced(red, n, N, c, e, zc)
-    res = float(np.max(np.abs(fe - e)))
-    evals = 1
-    alpha = cfg.damping
-    decreases = 0
-    rejects = 0
-    best = (e, denom, res)
-    while res > cfg.tol and evals < cfg.max_iter:
-        cand = e + alpha * (fe - e)
-        if np.any(cand.imag <= 0):
-            # cannot occur for alpha in (0,1] in exact arithmetic; guard
-            # against underflow by rejecting the step, never by projecting
-            alpha = max(alpha / 2.0, _MIN_DAMPING)
-            rejects += 1
-            if rejects > 64:
-                break
-            continue
-        rejects = 0
-        fc, denom = _iterate_reduced(red, n, N, c, cand, zc)
-        evals += 1
-        res_c = float(np.max(np.abs(fc - cand)))
-        if res_c > res:
-            alpha = max(alpha / 2.0, _MIN_DAMPING)
-            decreases = 0
-        else:
-            decreases += 1
-            if decreases >= 10:
-                alpha = cfg.damping
-                decreases = 0
-        e, fe, res = cand, fc, res_c
-        if res < best[2]:
-            best = (e, denom, res)
-    if res > best[2]:
-        e, denom, res = best
-    # denom tracks e through every path above, so the certificate can reuse it
-    rho, defect, stalled = _certificate_reduced(red, n, N, c, zc.imag, e, denom)
+        e = _cold_start(profile, zc.imag)
+    zs = np.array([zc])
+    e, res, iters = _damped(red, profile.c, e, zs, cfg)
+    denom = _denominators(red, profile.c, e, zs)
+    rho, defect, stalled = _certificate_reduced(profile, zc.imag, e[:, 0], denom[:, 0])
     # a solution is only "converged" when the residual target is met AND the
     # uniqueness certificate holds
-    converged = res <= cfg.tol and rho < 1.0
-    g = (red.row_mult @ (1.0 / denom)) / n
+    converged = bool(res[0] <= cfg.tol) and rho < 1.0
     point = z if isinstance(z, SpectralPoint) else SpectralPoint.of(zc)
     return FixedPointSolution(
-        z=point, e0=_expand(red, e), residual=res, rho_C0=rho,
-        identity_defect=defect, iterations=evals, g=complex(g),
-        converged=converged, rho_stalled=stalled,
+        z=point, e0=_expand(red, e[:, 0]), residual=float(res[0]), rho_C0=rho,
+        identity_defect=defect, iterations=int(iters[0]),
+        g=complex(_reduced_G(profile, denom)[0]), converged=converged, rho_stalled=stalled,
     )
 
 
@@ -340,60 +372,31 @@ def solve_batch(profile: WeightProfile, xs, v: float, cfg: SolverConfig | None =
                 warm: np.ndarray | None = None):
     """Solve all points x + iv simultaneously (data-parallel damped iteration).
 
-    Grid points are independent; each column follows exactly the damped
-    update rule of solve_e0 and freezes once its residual reaches tol.
-    Returns (e_red, residuals, iterations) with e_red of shape
-    (unique columns, len(xs)); expand with expand_batch.
+    Grid points are independent; each column follows the damped update rule
+    of solve_e0 and freezes once its residual reaches tol.  A column that
+    hits max_iter is not an error: its residual stays above tol.  Returns
+    (e_red, residuals, iterations) with e_red of shape
+    (unique columns, len(xs)).
     """
     cfg = cfg or SolverConfig()
-    red, t_red = _reduced_parts(profile)
-    n, N, c = profile.n, profile.N, profile.c
-    xs = np.asarray(xs, dtype=float)
-    zs = xs + 1j * v
-    P = len(xs)
-    e = warm.astype(complex).copy() if warm is not None else _cold_start(t_red, np.full(P, v))
-    if np.any(e.imag <= 0):
-        raise NonpositiveImaginaryInputError("warm start must lie in the upper half-plane")
-
-    fe, _ = _iterate_reduced(red, n, N, c, e, zs)
-    res = np.max(np.abs(fe - e), axis=0)
-    iters = np.ones(P, dtype=int)
-    alpha = np.full(P, cfg.damping)
-    decreases = np.zeros(P, dtype=int)
-    active = (res > cfg.tol) & (iters < cfg.max_iter)
-    while active.any():
-        idx = np.where(active)[0]
-        ea, fea = e[:, idx], fe[:, idx]
-        cand = ea + alpha[idx] * (fea - ea)
-        bad = (cand.imag <= 0).any(axis=0)
-        if bad.any():
-            cand[:, bad] = ea[:, bad]
-        fc, _ = _iterate_reduced(red, n, N, c, cand, zs[idx])
-        res_c = np.max(np.abs(fc - cand), axis=0)
-        worse = res_c > res[idx]
-        alpha[idx[worse | bad]] = np.maximum(alpha[idx[worse | bad]] / 2.0, _MIN_DAMPING)
-        decreases[idx[worse]] = 0
-        decreases[idx[~worse]] += 1
-        refresh = idx[decreases[idx] >= 10]
-        alpha[refresh] = cfg.damping
-        decreases[refresh] = 0
-        e[:, idx], fe[:, idx] = cand, fc
-        res[idx] = res_c
-        iters[idx] += 1
-        active[idx] = res_c > cfg.tol
-        active &= iters < cfg.max_iter
-    return e, res, iters
-
-
-def expand_batch(profile: WeightProfile, e_red: np.ndarray) -> np.ndarray:
-    """Expand a reduced batch (nc, P) back to full length-N columns."""
-    return e_red[profile.reduced.col_inverse, :]
+    zs = np.asarray(xs, dtype=float) + 1j * v
+    if warm is not None:
+        e = np.array(warm, dtype=complex, order="C")
+        _check_upper(e)
+    else:
+        e = _cold_start(profile, np.full(len(zs), float(v)))
+    return _damped(profile.reduced, profile.c, e, zs, cfg)
 
 
 def batch_G(profile: WeightProfile, e_red: np.ndarray, xs, v: float) -> np.ndarray:
     """G(x + iv) for every batch column from the reduced solutions."""
-    red = profile.reduced
     zs = np.asarray(xs, dtype=float) + 1j * v
-    w = red.col_mult[:, None] / (1.0 + profile.c * e_red)
-    denom = red.d2 @ w / profile.N - zs[None, :]
-    return (red.row_mult @ (1.0 / denom)) / profile.n
+    return _reduced_G(profile, _denominators(profile.reduced, profile.c, e_red, zs))
+
+
+def batch_rho(profile: WeightProfile, e_red: np.ndarray, xs, v: float) -> np.ndarray:
+    """rho(C0) for every batch column from the reduced solutions."""
+    zs = np.asarray(xs, dtype=float) + 1j * v
+    denom = _denominators(profile.reduced, profile.c, e_red, zs)
+    return np.array([_certificate_reduced(profile, v, e_red[:, p], denom[:, p])[0]
+                     for p in range(e_red.shape[1])])

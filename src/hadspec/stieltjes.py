@@ -16,18 +16,9 @@ import numpy as np
 from scipy import integrate
 
 from .core import DensityCurve, WeightProfile
-from .fixed_point import (
-    SolverConfig,
-    _certificate_reduced,
-    _reduced_parts,
-    batch_G,
-    solve_batch,
-    solve_e0,
-)
+from .fixed_point import NEAR_AXIS_MAX_ITER, SolverConfig, batch_G, batch_rho, solve_batch, solve_e0
 
-# Horizontal sweeps close to the real axis converge at rate 1 - O(eta);
-# the generic solver default of 10k map applications is not enough there.
-_INVERSION_SOLVER = SolverConfig(tol=1e-12, max_iter=300_000)
+_INVERSION_SOLVER = SolverConfig(tol=1e-12, max_iter=NEAR_AXIS_MAX_ITER)
 
 # Richardson is trusted only where the two finest levels agree to this
 # relative band; elsewhere (support edges, steep density shoulders) the
@@ -118,12 +109,9 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
     warm = None
     iters_total = 0
     residual_max = 0.0
-    rho_max = 0.0
-    last_e = None
     for eta in etas:
         e_red, res, iters = solve_batch(profile, xs, eta, scfg, warm=warm)
         warm = e_red
-        last_e = e_red
         iters_total += int(iters.sum())
         g = batch_G(profile, e_red, xs, eta)
         im_levels.append(g.imag)
@@ -131,14 +119,7 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
         residual_max = max(residual_max, float(res.max()))
 
     # certificates at the finest level (the binding one)
-    red, _ = _reduced_parts(profile)
-    eta_min = etas[-1]
-    w = red.col_mult[:, None] / (1.0 + profile.c * last_e)
-    denom_red = red.d2 @ w / profile.N - (xs + 1j * eta_min)[None, :]
-    for p in range(len(xs)):
-        rho, _, _ = _certificate_reduced(red, profile.n, profile.N, profile.c,
-                                         eta_min, last_e[:, p], denom_red[:, p])
-        rho_max = max(rho_max, rho)
+    rho_max = float(batch_rho(profile, e_red, xs, etas[-1]).max())
 
     good = np.logical_and.reduce(ok_levels[-used:])
     failed = tuple(float(x) for x in xs[~good])

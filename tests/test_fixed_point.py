@@ -14,13 +14,28 @@ from hadspec import (
     solve_grid,
     validate_profile,
 )
-from hadspec.fixed_point import NonpositiveImaginaryInputError, spectral_radius_nonneg
+from hadspec.fixed_point import (
+    NonpositiveImaginaryInputError,
+    _expand,
+    _map,
+    batch_G,
+    batch_rho,
+    solve_batch,
+    spectral_radius_nonneg,
+)
 
 from _oracles import mp_stieltjes_root
 
 
 def random_upper(rng, N, scale=1.0):
     return rng.uniform(-scale, scale, N) + 1j * rng.uniform(1e-3, scale, N)
+
+
+@pytest.fixture(scope="module")
+def repeated_profile():
+    """Block profile whose 6 rows and 9 columns collapse to 3 x 3 unique ones."""
+    base = np.array([[0.5, 1.5, 1.0], [2.0, 0.3, 1.0], [1.0, 1.0, 0.2]])
+    return validate_profile(np.repeat(np.repeat(base, [2, 1, 3], axis=0), [3, 2, 4], axis=1))
 
 
 class TestRowDenominators:
@@ -330,6 +345,41 @@ class TestSolveGrid:
         sols = solve_grid(rand_profile, grid, cfg)
         assert len(sols) == 2
         assert not any(s.converged for s in sols)
+
+
+class TestSolveBatch:
+    @pytest.mark.parametrize("name", ["rand_profile", "repeated_profile"])
+    def test_matches_per_point_solve_e0(self, name, request):
+        profile = request.getfixturevalue(name)
+        cfg = SolverConfig()
+        xs = np.linspace(-0.5, 4.0, 7)
+        v = 0.05
+        e_red, res, iters = solve_batch(profile, xs, v, cfg)
+        g = batch_G(profile, e_red, xs, v)
+        rho = batch_rho(profile, e_red, xs, v)
+        assert np.all(res <= cfg.tol)
+        for k, x in enumerate(xs):
+            sol = solve_e0(profile, complex(x, v), cfg)
+            assert abs(g[k] - sol.g) <= 10 * cfg.tol
+            assert iters[k] == sol.iterations
+            assert rho[k] == pytest.approx(sol.rho_C0, rel=1e-10)
+
+    def test_reduced_map_expands_to_iterate_e(self, repeated_profile):
+        red = repeated_profile.reduced
+        assert red.d2.shape == (3, 3)
+        rng = np.random.default_rng(7)
+        e_red = random_upper(rng, red.d2.shape[1])
+        z = 0.7 + 0.2j
+        full = iterate_e(repeated_profile, _expand(red, e_red), z)
+        reduced = _expand(red, _map(red, repeated_profile.c, e_red[:, None], np.array([z]))[:, 0])
+        assert np.max(np.abs(reduced - full)) <= 1e-14 * np.max(np.abs(full))
+
+    def test_max_iter_flagged_not_raised(self, rand_profile):
+        cfg = SolverConfig(tol=1e-15, max_iter=3)
+        e_red, res, iters = solve_batch(rand_profile, np.linspace(0.2, 3.0, 5), 0.05, cfg)
+        assert np.all(res > cfg.tol)
+        assert np.all(iters == 3)
+        assert np.all(e_red.imag > 0)
 
 
 class TestSolverConfig:
