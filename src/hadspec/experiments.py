@@ -148,6 +148,14 @@ def _size_seed(master_seed: int, n: int, N: int) -> int:
     return int(np.random.SeedSequence([int(master_seed), int(n), int(N)]).generate_state(1)[0])
 
 
+def _truncated_curve(profile: WeightProfile, epsilon: float, spec: ExperimentSpec):
+    """Plan the epsilon-truncation, apply it and invert: (curve, diagnostics)."""
+    plan = plan_truncation(profile, epsilon)
+    truncated = truncate_profile(profile, max(plan.M, np.finfo(float).tiny))
+    cfg = InversionConfig(x_grid=default_x_grid(truncated), eta_sequence=spec.eta_sequence)
+    return density_curve(truncated, cfg, spec.solver, with_diagnostics=True)
+
+
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ComparisonReport:
     """Execute every (size, trial) cell; failures are recorded, never fatal."""
     t_start = time.perf_counter()
@@ -157,11 +165,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ComparisonReport:
     for n, N in spec.sizes:
         profile = make_profile(spec.profile_generator, n, N, spec.master_seed)
         try:
-            plan = plan_truncation(profile, spec.epsilon)
-            truncated = truncate_profile(profile, max(plan.M, np.finfo(float).tiny))
-            cfg = InversionConfig(x_grid=default_x_grid(truncated),
-                                  eta_sequence=spec.eta_sequence)
-            curve, diag = density_curve(truncated, cfg, spec.solver, with_diagnostics=True)
+            curve, diag = _truncated_curve(profile, spec.epsilon, spec)
         except (ZeroColumnAfterTruncationError, ValueError, RuntimeError) as exc:
             rows.extend(CellResult(n=n, N=N, trial=t, error=f"{type(exc).__name__}: {exc}")
                         for t in range(spec.trials))
@@ -211,11 +215,7 @@ def smallest_passing_epsilon(spec: ExperimentSpec, n: int, N: int,
     passing = []
     for eps in sorted(ladder, reverse=True):
         try:
-            plan = plan_truncation(profile, eps)
-            truncated = truncate_profile(profile, max(plan.M, np.finfo(float).tiny))
-            cfg = InversionConfig(x_grid=default_x_grid(truncated),
-                                  eta_sequence=spec.eta_sequence)
-            curve = density_curve(truncated, cfg, spec.solver)
+            curve, _ = _truncated_curve(profile, eps, spec)
         except (ZeroColumnAfterTruncationError, ValueError, RuntimeError):
             continue
         dvals = [d_metric(s, curve, spec.i_max).upper for s in spectra]

@@ -3,7 +3,12 @@
 A profile is "tight at level epsilon" when removing at most floor(eps * n)
 rows plus columns leaves all remaining entries below some bound M.  The
 planner peels lines greedily: at each step it removes the single row or
-column whose removal most reduces the maximum surviving entry.  Downstream
+column whose removal most reduces the maximum surviving entry.  Only a line
+holding every entry equal to the surviving maximum can lower it: at most
+one line when the maximum is attained more than once, exactly two (the
+entry's row and column) when it is attained once.  So a step is one pass
+over the surviving block, and a plan costs O(budget * n * N) instead of
+the O(budget * (n + N) * n * N) of rescanning for every line.  Downstream
 consumers only need a feasible plan, not an optimal one; minimizing M under
 a line budget is a combinatorial problem this module deliberately does not
 solve, and a brute-force oracle bounds the greedy gap in tests.
@@ -56,11 +61,6 @@ class TruncationPlan:
         }
 
 
-def _masked_max(entries, row_ok, col_ok) -> float:
-    sub = entries[np.ix_(row_ok, col_ok)]
-    return float(sub.max()) if sub.size else 0.0
-
-
 def plan_truncation(profile: WeightProfile, epsilon: float) -> TruncationPlan:
     """Greedy line peeling under the budget floor(eps * n).
 
@@ -71,66 +71,58 @@ def plan_truncation(profile: WeightProfile, epsilon: float) -> TruncationPlan:
     columns, lower index first on ties).  Removals past the last strict
     drop of the maximum are rolled back, so an already-flat profile removes
     nothing.
+
+    Only lines holding every maximum-attaining entry lower the maximum, so
+    a step scores no other line.  A maximum attained more than once has at
+    most one such line, and it is also the best cover; a maximum attained
+    once has two, its row and its column, each scored by the largest
+    maximum among the other lines.  One pass over the surviving block
+    gives the row maxima, and the rows attaining the maximum give the hit
+    counts, so a step costs O(n * N) and a plan O(budget * n * N).
     """
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must lie in (0, 1)")
     budget = int(np.floor(epsilon * profile.n))
     entries = profile.entries
-    row_ok = np.ones(profile.n, dtype=bool)
-    col_ok = np.ones(profile.N, dtype=bool)
+    work = entries.copy()                  # peeled lines hold -inf
     removals: list[tuple[str, int]] = []   # trajectory in removal order
     last_drop = 0                          # removals needed for the best M seen
 
     while len(removals) < budget:
-        current = _masked_max(entries, row_ok, col_ok)
-        if current <= 0:
+        row_max = work.max(axis=1)
+        current = row_max.max()
+        if not current > 0:                # nothing left, or only zeros
             break
-        best = (current, None, None)
-        for i in np.nonzero(row_ok)[0]:
-            row_ok[i] = False
-            cand = _masked_max(entries, row_ok, col_ok)
-            row_ok[i] = True
-            if cand < best[0]:
-                best = (cand, "row", int(i))
-        for k in np.nonzero(col_ok)[0]:
-            col_ok[k] = False
-            cand = _masked_max(entries, row_ok, col_ok)
-            col_ok[k] = True
-            if cand < best[0]:
-                best = (cand, "col", int(k))
-        if best[1] is None:
-            # maximum is attained on several lines: peel the best cover
-            at_max = (entries >= current) & row_ok[:, None] & col_ok[None, :]
-            row_hits = at_max.sum(axis=1)
-            col_hits = at_max.sum(axis=0)
-            i = int(np.argmax(row_hits))
-            k = int(np.argmax(col_hits))
-            if row_hits[i] >= col_hits[k]:
-                best = (current, "row", i)
-            else:
-                best = (current, "col", k)
-        kind, idx = best[1], best[2]
-        if kind == "row":
-            row_ok[idx] = False
+        hit_rows = np.flatnonzero(row_max == current)
+        at_max = work[hit_rows] == current
+        row_hits = at_max.sum(axis=1)
+        col_hits = at_max.sum(axis=0)
+        total = int(row_hits.sum())
+        j = int(np.argmax(row_hits))
+        i, k = int(hit_rows[j]), int(np.argmax(col_hits))
+        if row_hits[j] >= col_hits[k]:
+            kind, idx, hits = "row", i, row_hits[j]
         else:
-            col_ok[idx] = False
+            kind, idx, hits = "col", k, col_hits[k]
+        # a unique maximum: its column replaces its row only if strictly better;
+        # each is scored by the other lines' maxima (0 when none survive)
+        if total == 1 and (np.delete(work.max(axis=0), k).max(initial=0.0)
+                           < np.delete(row_max, i).max(initial=0.0)):
+            kind, idx = "col", k
+        if kind == "row":
+            work[idx, :] = -np.inf
+        else:
+            work[:, idx] = -np.inf
         removals.append((kind, idx))
-        if _masked_max(entries, row_ok, col_ok) < current:
+        if hits == total:   # the peeled line held every maximum: a strict drop
             last_drop = len(removals)
 
-    # roll back peels past the last strict improvement
-    for kind, idx in removals[last_drop:]:
-        if kind == "row":
-            row_ok[idx] = True
-        else:
-            col_ok[idx] = True
-    removals = removals[:last_drop]
-
+    removals = removals[:last_drop]        # roll back peels past the last drop
     rows = tuple(idx for kind, idx in removals if kind == "row")
     cols = tuple(idx for kind, idx in removals if kind == "col")
-    M = _masked_max(entries, row_ok, col_ok)
-    return TruncationPlan(epsilon=epsilon, M=M, rows_removed=rows,
-                          cols_removed=cols, budget=budget)
+    kept = np.delete(np.delete(entries, rows, axis=0), cols, axis=1)
+    return TruncationPlan(epsilon=epsilon, M=float(kept.max(initial=0.0)),
+                          rows_removed=rows, cols_removed=cols, budget=budget)
 
 
 def truncate_profile(profile: WeightProfile, d_eps: float) -> WeightProfile:
@@ -140,8 +132,8 @@ def truncate_profile(profile: WeightProfile, d_eps: float) -> WeightProfile:
     those outside the removed lines.  Columns that become all-zero violate
     the nonzero-column assumption and are surfaced as an error.
     """
-    if d_eps < 0:
-        raise ValueError("d_eps must be nonnegative")
+    if not d_eps >= 0:   # also rejects NaN
+        raise ValueError("d_eps must be a nonnegative number")
     out = np.where(profile.entries <= d_eps, profile.entries, 0.0)
     dead = np.nonzero(~(out > 0).any(axis=0))[0]
     if dead.size:

@@ -11,6 +11,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
+from hadspec.tightness import TruncationPlan
+
 
 # -- Marchenko-Pastur scalar oracle (all-ones profile) -----------------------
 
@@ -106,6 +108,90 @@ def brute_force_min_M(entries: np.ndarray, budget: int) -> float:
                 cand = float(col_max[keep].max()) if keep.size else 0.0
                 best = min(best, cand)
     return best
+
+
+# -- greedy planner by full rescan -------------------------------------------
+
+def _masked_max(entries, row_ok, col_ok) -> float:
+    sub = entries[np.ix_(row_ok, col_ok)]
+    return float(sub.max()) if sub.size else 0.0
+
+
+def greedy_plan_rescan(profile, epsilon: float):
+    """Reference greedy planner: scores every surviving line by rescanning
+    the whole masked matrix, O(budget * (n + N) * n * N).  The fast
+    hadspec.tightness.plan_truncation must return the same plan; only the
+    TruncationPlan container is shared with the code under test.
+
+    Greedy line peeling under the budget floor(eps * n).
+
+    Each step removes the single row or column whose removal most reduces
+    the maximum surviving entry; when the current maximum is spread over
+    several lines so that no single removal lowers it, the line covering
+    the most maximum-attaining entries is peeled instead (rows before
+    columns, lower index first on ties).  Removals past the last strict
+    drop of the maximum are rolled back, so an already-flat profile removes
+    nothing.
+    """
+    if not (0 < epsilon < 1):
+        raise ValueError("epsilon must lie in (0, 1)")
+    budget = int(np.floor(epsilon * profile.n))
+    entries = profile.entries
+    row_ok = np.ones(profile.n, dtype=bool)
+    col_ok = np.ones(profile.N, dtype=bool)
+    removals: list[tuple[str, int]] = []   # trajectory in removal order
+    last_drop = 0                          # removals needed for the best M seen
+
+    while len(removals) < budget:
+        current = _masked_max(entries, row_ok, col_ok)
+        if current <= 0:
+            break
+        best = (current, None, None)
+        for i in np.nonzero(row_ok)[0]:
+            row_ok[i] = False
+            cand = _masked_max(entries, row_ok, col_ok)
+            row_ok[i] = True
+            if cand < best[0]:
+                best = (cand, "row", int(i))
+        for k in np.nonzero(col_ok)[0]:
+            col_ok[k] = False
+            cand = _masked_max(entries, row_ok, col_ok)
+            col_ok[k] = True
+            if cand < best[0]:
+                best = (cand, "col", int(k))
+        if best[1] is None:
+            # maximum is attained on several lines: peel the best cover
+            at_max = (entries >= current) & row_ok[:, None] & col_ok[None, :]
+            row_hits = at_max.sum(axis=1)
+            col_hits = at_max.sum(axis=0)
+            i = int(np.argmax(row_hits))
+            k = int(np.argmax(col_hits))
+            if row_hits[i] >= col_hits[k]:
+                best = (current, "row", i)
+            else:
+                best = (current, "col", k)
+        kind, idx = best[1], best[2]
+        if kind == "row":
+            row_ok[idx] = False
+        else:
+            col_ok[idx] = False
+        removals.append((kind, idx))
+        if _masked_max(entries, row_ok, col_ok) < current:
+            last_drop = len(removals)
+
+    # roll back peels past the last strict improvement
+    for kind, idx in removals[last_drop:]:
+        if kind == "row":
+            row_ok[idx] = True
+        else:
+            col_ok[idx] = True
+    removals = removals[:last_drop]
+
+    rows = tuple(idx for kind, idx in removals if kind == "row")
+    cols = tuple(idx for kind, idx in removals if kind == "col")
+    M = _masked_max(entries, row_ok, col_ok)
+    return TruncationPlan(epsilon=epsilon, M=M, rows_removed=rows,
+                          cols_removed=cols, budget=budget)
 
 
 # -- direct test-function metric (independent scratch implementation) ---------

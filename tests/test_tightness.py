@@ -12,9 +12,10 @@ from hadspec import (
     truncate_profile,
     validate_profile,
 )
+from hadspec.experiments import make_profile
 from hadspec.tightness import ZeroColumnAfterTruncationError
 
-from _oracles import brute_force_min_M
+from _oracles import brute_force_min_M, greedy_plan_rescan
 
 
 def spiked_profile(rng, n, N, k, height):
@@ -96,6 +97,54 @@ class TestPlanTruncation:
                 plan_truncation(p, bad)
 
 
+def _oracle_instances(rng, count):
+    """Small seeded profiles spread over the planner's decision paths."""
+    kinds = ("continuous", "small_int", "constant", "block", "spike",
+             "full_row", "one_row", "one_col", "narrow")
+    for t in range(count):
+        kind = kinds[t % len(kinds)]
+        n, N = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+        if kind == "one_row":
+            n = 1
+        elif kind == "one_col":
+            N = 1
+        elif kind == "narrow":   # N <= budget: every column can be peeled
+            n, N = int(rng.integers(6, 16)), int(rng.integers(1, 4))
+        if kind in ("continuous", "one_row", "one_col", "narrow"):
+            entries = rng.uniform(0.1, 2.0, (n, N))
+        elif kind == "small_int":
+            entries = rng.integers(0, 4, (n, N)).astype(float)
+            entries[0] = np.maximum(entries[0], 1.0)   # no zero column
+        elif kind == "constant":
+            entries = np.full((n, N), float(rng.integers(1, 4)))
+        elif kind == "block":
+            levels = rng.integers(1, 4, size=int(rng.integers(1, 4)))
+            entries = make_profile("block:" + ",".join(map(str, levels)), n, N).entries
+        elif kind == "spike":
+            entries = np.ones((n, N))
+            entries.flat[rng.integers(n * N)] = 10.0
+        else:   # a row whose entries are all maximal, over small-integer ties
+            entries = rng.integers(1, 3, (n, N)).astype(float)
+            entries[rng.integers(n)] = 3.0
+        eps = float(rng.uniform(0.5, 0.95)) if kind == "narrow" else float(rng.uniform(0.05, 0.95))
+        yield validate_profile(entries), eps
+
+
+def test_matches_rescan_oracle():
+    rng = np.random.default_rng(2024)
+    cases = list(_oracle_instances(rng, 1080))
+    cases += [(make_profile("block:0.5,1.5", 64, 64), 0.25),
+              (make_profile("iid_uniform:0,2", 64, 64, seed=5), 0.25)]
+    all_peeled = peeled = 0
+    for p, eps in cases:
+        plan = plan_truncation(p, eps)
+        assert plan == greedy_plan_rescan(p, eps), (p.entries, eps)
+        all_peeled += len(plan.cols_removed) == p.N
+        peeled += plan.lines_used > 0
+    # the instances reach the all-columns-peeled (M = 0) and peeling paths
+    assert all_peeled >= 20 and peeled >= 300
+
+
 class TestTruncateProfile:
     def test_identity_when_all_below(self):
         p = validate_profile(np.full((4, 5), 2.0))
@@ -108,6 +157,12 @@ class TestTruncateProfile:
         q = truncate_profile(validate_profile(entries), 1.0)
         assert q.entries[1, 2] == 0.0
         assert q.entries.sum() == 15.0
+
+    def test_nan_level_rejected(self):
+        p = validate_profile(np.ones((3, 3)))
+        for bad in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="nonnegative"):
+                truncate_profile(p, bad)
 
     def test_zero_column_surfaced(self):
         entries = np.ones((3, 3))
