@@ -67,18 +67,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class WeightProfile:
     """Validated n x N matrix of nonnegative weights d_ij.
 
-    Use :func:`validate_profile` (or :meth:`from_entries`) instead of the
-    raw constructor; construction does not re-run validation.
+    Use :func:`validate_profile` instead of the raw constructor;
+    construction does not re-run validation.
     """
 
     entries: np.ndarray
     n: int
     N: int
     max_entry: float
-
-    @classmethod
-    def from_entries(cls, entries) -> "WeightProfile":
-        return validate_profile(entries)
 
     @property
     def ratio(self) -> Fraction:

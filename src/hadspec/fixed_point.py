@@ -59,7 +59,6 @@ class SolverConfig:
     tol: float = 1e-12
     max_iter: int = 10_000
     damping: float = 1.0
-    continuation: bool = True
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -358,7 +357,7 @@ def solve_grid(profile: WeightProfile, grid: ZGrid, cfg: SolverConfig | None = N
     solved_pts: list[tuple[complex, np.ndarray]] = []
     for point in grid:
         warm = None
-        if cfg.continuation and solved_pts:
+        if solved_pts:
             dists = [abs(point.z - zc) for zc, _ in solved_pts]
             warm = solved_pts[int(np.argmin(dists))][1]
         sol = solve_e0(profile, point, cfg, warm_start=warm)

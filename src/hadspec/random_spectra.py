@@ -260,16 +260,6 @@ def hermitian_eigenvalues(B: np.ndarray) -> np.ndarray:
         raise ConvergenceFailureError(str(exc)) from exc
 
 
-def hermitian_eigensystem(B: np.ndarray):
-    """Eigenvalues (ascending) and eigenvectors; reconstruction-grade."""
-    B = np.asarray(B)
-    try:
-        vals, vecs = np.linalg.eigh(B)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(str(exc)) from exc
-    return vals, vecs
-
-
 def trial_seed_sequence(master_seed: int, trial: int) -> np.random.SeedSequence:
     """Deterministic, order-independent substream for one trial."""
     return np.random.SeedSequence([int(master_seed), int(trial)])

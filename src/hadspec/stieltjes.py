@@ -5,11 +5,15 @@ artifact evaluates Im G on a descending eta schedule and extrapolates.
 Horizontal-line inversion conserves total mass exactly at fixed eta, so the
 CDF is the trapezoid accumulation of the extrapolated density plus any point
 mass detected at zero by mass deficit.
+
+Both inversions run one batched sweep down the eta schedule: the density
+on its x grid, interval masses on the nodes of 8-point Gauss-Legendre
+panels at most 2 eta_min wide (Im G(x + i eta) is analytic for
+|Im x| < eta).  Memory is O(points x unique columns).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,18 +30,36 @@ _INVERSION_SOLVER = SolverConfig(tol=1e-12, max_iter=NEAR_AXIS_MAX_ITER)
 # relative, so the band only disarms the extrapolation where it overshoots.
 _RICHARDSON_BAND = 0.05
 
+# Interval masses: Gauss-Legendre order, and the widest panel in units of
+# the smallest eta of the schedule.
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+_PANEL_ETAS = 2.0
+
 
 class QuadratureStallError(RuntimeError):
-    """Adaptive quadrature failed to reach its tolerance."""
+    """Too few inversion points converged to integrate a density or a mass."""
+
+
+def _eta_schedule(etas) -> tuple:
+    """The one definition of a valid eta schedule: positive, strictly descending."""
+    etas = tuple(float(e) for e in etas)
+    if not etas or not all(0.0 < e < np.inf for e in etas):
+        raise ValueError("eta_sequence must contain positive, finite heights")
+    if any(b >= a for a, b in zip(etas, etas[1:])):
+        raise ValueError("eta_sequence must be strictly descending")
+    return etas
 
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Inversion grid and eta -> 0 extrapolation schedule."""
+    """Inversion grid and eta -> 0 schedule.
+
+    With two or more heights the density is Richardson-extrapolated from the
+    two smallest; a single height is used as it is.
+    """
 
     x_grid: np.ndarray
     eta_sequence: tuple = (1e-2, 5e-3, 2.5e-3)
-    extrapolation: str = "richardson"   # or "last-value"
     atom_threshold: float = 0.02
 
     def __post_init__(self):
@@ -47,16 +69,7 @@ class InversionConfig:
         if np.any(np.diff(xs) <= 0):
             raise ValueError("x_grid must be strictly ascending")
         object.__setattr__(self, "x_grid", xs)
-        etas = tuple(float(e) for e in self.eta_sequence)
-        if not etas or any(e <= 0 for e in etas):
-            raise ValueError("eta_sequence must contain positive heights")
-        if any(b >= a for a, b in zip(etas, etas[1:])):
-            raise ValueError("eta_sequence must be strictly descending")
-        object.__setattr__(self, "eta_sequence", etas)
-        if self.extrapolation not in ("richardson", "last-value"):
-            raise ValueError("extrapolation must be 'richardson' or 'last-value'")
-        if self.extrapolation == "richardson" and len(etas) < 2:
-            raise ValueError("richardson extrapolation needs at least two eta levels")
+        object.__setattr__(self, "eta_sequence", _eta_schedule(self.eta_sequence))
 
 
 def edge_refined_grid(lo: float, hi: float, n_uniform: int = 141,
@@ -88,6 +101,24 @@ class DensityDiagnostics:
     unconverged: tuple = field(default_factory=tuple)
 
 
+def _sweep(profile: WeightProfile, xs: np.ndarray, etas: tuple, scfg: SolverConfig):
+    """Solve every x + i eta, each level warm-started from the one above.
+
+    Returns Im G and the converged mask, both (levels, points), the total
+    map applications, the worst residual and the finest level's solutions.
+    """
+    im, ok = [], []
+    e_red = None
+    iters_total, residual_max = 0, 0.0
+    for eta in etas:
+        e_red, res, iters = solve_batch(profile, xs, eta, scfg, warm=e_red)
+        iters_total += int(iters.sum())
+        im.append(batch_G(profile, e_red, xs, eta).imag)
+        ok.append(res <= scfg.tol)
+        residual_max = max(residual_max, float(res.max()))
+    return np.array(im), np.array(ok), iters_total, residual_max, e_red
+
+
 def density_curve(profile: WeightProfile, cfg: InversionConfig,
                   solver_cfg: SolverConfig | None = None,
                   with_diagnostics: bool = False):
@@ -102,38 +133,22 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
     scfg = solver_cfg or _INVERSION_SOLVER
     xs = cfg.x_grid
     etas = cfg.eta_sequence
-    used = 2 if cfg.extrapolation == "richardson" else 1
-
-    im_levels = []
-    ok_levels = []
-    warm = None
-    iters_total = 0
-    residual_max = 0.0
-    for eta in etas:
-        e_red, res, iters = solve_batch(profile, xs, eta, scfg, warm=warm)
-        warm = e_red
-        iters_total += int(iters.sum())
-        g = batch_G(profile, e_red, xs, eta)
-        im_levels.append(g.imag)
-        ok_levels.append(res <= scfg.tol)
-        residual_max = max(residual_max, float(res.max()))
+    used = min(len(etas), 2)
+    im, ok, iters_total, residual_max, e_red = _sweep(profile, xs, etas, scfg)
 
     # certificates at the finest level (the binding one)
     rho_max = float(batch_rho(profile, e_red, xs, etas[-1]).max())
 
-    good = np.logical_and.reduce(ok_levels[-used:])
+    good = ok[-used:].all(axis=0)
     failed = tuple(float(x) for x in xs[~good])
     xs_ok = xs[good]
 
-    if cfg.extrapolation == "richardson":
-        eta1, eta2 = etas[-2], etas[-1]
-        y1 = im_levels[-2][good]
-        y2 = im_levels[-1][good]
+    raw = y2 = im[-1, good]
+    if used == 2:
+        (eta1, eta2), y1 = etas[-2:], im[-2, good]
         extrap = (y2 * eta1 - y1 * eta2) / (eta1 - eta2)
         smooth = np.abs(y1 - y2) <= _RICHARDSON_BAND * np.maximum(np.minimum(y1, y2), 1e-12)
         raw = np.where(smooth, extrap, y2)
-    else:
-        raw = im_levels[-1][good]
     density = np.maximum(raw, 0.0) / np.pi
 
     if len(xs_ok) < 2:
@@ -155,47 +170,42 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
 
 def cdf_interval(profile: WeightProfile, a: float, b: float, eta,
                  solver_cfg: SolverConfig | None = None) -> float:
-    """Smoothed mass (1/pi) int_a^b Im G(xi + i eta) d xi by adaptive quadrature.
+    """Smoothed mass (1/pi) int_a^b Im G(xi + i eta) d xi.
 
-    eta may be a single height or a descending schedule; a schedule is
-    Richardson-extrapolated to the real axis from its two smallest heights.
+    eta is one height or a schedule in any order; a schedule is swept from
+    its largest height down and Richardson-extrapolated (unguarded) from
+    its two smallest.  The rule is 8-point Gauss-Legendre on panels at most
+    2 eta_min wide, with a panel edge at 0 when 0 lies inside (a, b).
+    Im G(x + i eta) is analytic for |Im x| < eta, so the rule converges
+    geometrically on such panels, and all levels share the nodes, so warm
+    starts carry down the schedule.  Memory is O(nodes x unique columns),
+    with 4 (b - a) / eta_min nodes.  Raises QuadratureStallError when a
+    node has not converged at a height the result uses.
     """
-    if np.iterable(eta):
-        etas = sorted((float(e) for e in eta), reverse=True)
-        if len(etas) < 2:
-            return cdf_interval(profile, a, b, etas[0], solver_cfg)
-        eta1, eta2 = etas[-2], etas[-1]
-        m1 = cdf_interval(profile, a, b, eta1, solver_cfg)
-        m2 = cdf_interval(profile, a, b, eta2, solver_cfg)
-        return (m2 * eta1 - m1 * eta2) / (eta1 - eta2)
+    etas = _eta_schedule(sorted(np.atleast_1d(eta).astype(float), reverse=True))
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError("interval endpoints must be finite")
     if a > b:
         raise ValueError("need a <= b")
     if a == b:
         return 0.0
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    scfg = solver_cfg or _INVERSION_SOLVER
+    used = min(len(etas), 2)
+    width = _PANEL_ETAS * etas[-1]
+    cuts = [a, 0.0, b] if a < 0.0 < b else [a, b]   # 0: the hard edge of covariance spectra
+    edges = np.concatenate([np.linspace(lo, hi, int(np.ceil((hi - lo) / width)) + 1)[:-1]
+                            for lo, hi in zip(cuts, cuts[1:])] + [[b]])
+    half = np.diff(edges)[:, None] / 2.0
+    xs = (edges[:-1, None] + half + half * _GAUSS_X).ravel()
 
-    cache: list[tuple[float, np.ndarray]] = []
-
-    def im_g(x: float) -> float:
-        warm = None
-        if cache:
-            warm = min(cache, key=lambda item: abs(item[0] - x))[1]
-        sol = solve_e0(profile, complex(x, eta), scfg, warm_start=warm)
-        if sol.converged:
-            cache.append((x, sol.e0))
-        return sol.g.imag / np.pi
-
-    interior = [x for x in (0.0,) if a < x < b]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, _ = integrate.quad(im_g, a, b, epsabs=1e-6, epsrel=1e-6,
-                                      limit=200, points=interior or None)
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureStallError(str(exc)) from exc
-    return float(value)
+    im, ok, *_ = _sweep(profile, xs, etas, solver_cfg or _INVERSION_SOLVER)
+    failed = np.count_nonzero(~ok[-used:].all(axis=0))
+    if failed:
+        raise QuadratureStallError(f"{failed} of {len(xs)} quadrature nodes did not converge")
+    masses = im[-used:] @ (half * _GAUSS_W).ravel() / np.pi
+    if used == 1:
+        return float(masses[0])
+    (eta1, eta2), (m1, m2) = etas[-2:], masses
+    return float((m2 * eta1 - m1 * eta2) / (eta1 - eta2))
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,26 @@
 """Independent oracles used to freeze expected test values.
 
 Everything here is implemented from scratch against closed forms or brute
-force, never by calling the code under test.
+force, never by calling the code under test.  The two exceptions are former
+implementations kept as references for their faster rewrites: the rescan
+planner, which shares only the TruncationPlan container, and the adaptive
+quadrature of interval masses, which calls the scalar solver where the
+rewrite runs batched sweeps.
 """
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
 
+from hadspec.fixed_point import NEAR_AXIS_MAX_ITER, SolverConfig, solve_e0
+from hadspec.stieltjes import QuadratureStallError
 from hadspec.tightness import TruncationPlan
+
+_INVERSION_SOLVER = SolverConfig(tol=1e-12, max_iter=NEAR_AXIS_MAX_ITER)
 
 
 # -- Marchenko-Pastur scalar oracle (all-ones profile) -----------------------
@@ -192,6 +201,57 @@ def greedy_plan_rescan(profile, epsilon: float):
     M = _masked_max(entries, row_ok, col_ok)
     return TruncationPlan(epsilon=epsilon, M=M, rows_removed=rows,
                           cols_removed=cols, budget=budget)
+
+
+# -- interval mass by adaptive quadrature over scalar solves ------------------
+
+def cdf_interval_quad(profile, a: float, b: float, eta,
+                      solver_cfg: SolverConfig | None = None) -> float:
+    """Reference interval mass: scipy.integrate.quad over per-node solve_e0.
+    hadspec.stieltjes.cdf_interval (Gauss panels on batched sweeps) must
+    agree with it.
+
+    Smoothed mass (1/pi) int_a^b Im G(xi + i eta) d xi by adaptive quadrature.
+
+    eta may be a single height or a descending schedule; a schedule is
+    Richardson-extrapolated to the real axis from its two smallest heights.
+    """
+    if np.iterable(eta):
+        etas = sorted((float(e) for e in eta), reverse=True)
+        if len(etas) < 2:
+            return cdf_interval_quad(profile, a, b, etas[0], solver_cfg)
+        eta1, eta2 = etas[-2], etas[-1]
+        m1 = cdf_interval_quad(profile, a, b, eta1, solver_cfg)
+        m2 = cdf_interval_quad(profile, a, b, eta2, solver_cfg)
+        return (m2 * eta1 - m1 * eta2) / (eta1 - eta2)
+    if a > b:
+        raise ValueError("need a <= b")
+    if a == b:
+        return 0.0
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    scfg = solver_cfg or _INVERSION_SOLVER
+
+    cache: list[tuple[float, np.ndarray]] = []
+
+    def im_g(x: float) -> float:
+        warm = None
+        if cache:
+            warm = min(cache, key=lambda item: abs(item[0] - x))[1]
+        sol = solve_e0(profile, complex(x, eta), scfg, warm_start=warm)
+        if sol.converged:
+            cache.append((x, sol.e0))
+        return sol.g.imag / np.pi
+
+    interior = [x for x in (0.0,) if a < x < b]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            value, _ = integrate.quad(im_g, a, b, epsabs=1e-6, epsrel=1e-6,
+                                      limit=200, points=interior or None)
+        except integrate.IntegrationWarning as exc:
+            raise QuadratureStallError(str(exc)) from exc
+    return float(value)
 
 
 # -- direct test-function metric (independent scratch implementation) ---------

@@ -11,6 +11,16 @@ def run_cli(args, capsys=None):
     return main(args)
 
 
+def read_text(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 class TestParsers:
     def test_parse_z(self):
         assert parse_z("0+1i") == 1j
@@ -49,11 +59,11 @@ class TestDensityCommand:
         status = run_cli(["density", "--profile", "ones", "--n", "128", "--N", "128",
                           "--xmin", "-0.5", "--xmax", "4.5", "-o", out])
         assert status == 0
-        rows = open(out).read().strip().splitlines()
+        rows = read_text(out).strip().splitlines()
         assert rows[0] == "x,density,cdf,eta_used"
         final_cdf = float(rows[-1].split(",")[2])
         assert 0.99 <= final_cdf <= 1.01
-        manifest = json.load(open(out + ".manifest.json"))
+        manifest = read_json(out + ".manifest.json")
         assert manifest["command"] == "density"
         assert manifest["outputs"] == [out]
 
@@ -65,6 +75,14 @@ class TestDensityCommand:
         leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         assert leftovers == []
 
+    def test_single_eta_level(self, tmp_path):
+        # one height is used as it is; there is nothing to extrapolate from
+        out = str(tmp_path / "density.csv")
+        status = run_cli(["density", "--profile", "ones", "--n", "16", "--N", "16",
+                          "--points", "31", "--eta", "0.01", "-o", out])
+        assert status == 0
+        assert read_json(out + ".manifest.json")["options"]["eta"] == [0.01]
+
     def test_byte_identical_reruns(self, tmp_path):
         a = str(tmp_path / "a.csv")
         b = str(tmp_path / "b.csv")
@@ -73,9 +91,9 @@ class TestDensityCommand:
                 "--eta", "2e-2,1e-2"]
         run_cli(args + ["-o", a])
         run_cli(args + ["-o", b])
-        assert open(a).read() == open(b).read()
-        ma = json.load(open(a + ".manifest.json"))
-        mb = json.load(open(b + ".manifest.json"))
+        assert read_text(a) == read_text(b)
+        ma = read_json(a + ".manifest.json")
+        mb = read_json(b + ".manifest.json")
         assert ma["config_hash"] == mb["config_hash"]
 
 
@@ -85,7 +103,7 @@ class TestSolveCommand:
         status = run_cli(["solve", "--profile", "ones", "--n", "4", "--N", "4",
                           "--z", "0+1i", "--z", "1+0.5i", "-o", out])
         assert status == 0
-        lines = open(out).read().strip().splitlines()
+        lines = read_text(out).strip().splitlines()
         header = lines[0].split(",")
         assert header[:2] == ["x", "v"]
         assert "e0_re_3" in header and "e0_im_3" in header
@@ -106,10 +124,10 @@ class TestSimulateCommand:
                           "-o", prefix])
         assert status == 0
         for t in range(2):
-            atoms = [float(line) for line in open(f"{prefix}.trial{t}.csv")]
+            atoms = [float(line) for line in read_text(f"{prefix}.trial{t}.csv").splitlines()]
             assert len(atoms) == 8
             assert atoms == sorted(atoms)
-        manifest = json.load(open(prefix + ".manifest.json"))
+        manifest = read_json(prefix + ".manifest.json")
         assert manifest["options"]["family"] == "rademacher"
         assert manifest["options"]["seed"] == 9
 
@@ -120,7 +138,7 @@ class TestSimulateCommand:
         b = str(tmp_path / "b")
         run_cli(args + ["-o", a])
         run_cli(args + ["-o", b])
-        assert open(a + ".trial0.csv").read() == open(b + ".trial0.csv").read()
+        assert read_text(a + ".trial0.csv") == read_text(b + ".trial0.csv")
 
 
 class TestCertifyTruncate:
@@ -129,7 +147,7 @@ class TestCertifyTruncate:
         status = run_cli(["certify", "--profile", "ones", "--n", "8", "--N", "8",
                           "--z", "0.5+0.5i", "-o", out])
         assert status == 0
-        rec = json.load(open(out))
+        rec = read_json(out)
         assert rec["converged"] is True
         assert rec["rho_C0"] < 1.0
         assert rec["identity_defect"] <= 1e-9
@@ -139,7 +157,7 @@ class TestCertifyTruncate:
         status = run_cli(["truncate", "--profile", "spiked:2,30", "--n", "16",
                           "--N", "16", "--epsilon", "0.25", "--seed", "4", "-o", out])
         assert status == 0
-        rec = json.load(open(out))
+        rec = read_json(out)
         assert rec["epsilon"] == 0.25
         assert rec["M"] < 30.0
         assert len(rec["rows"]) + len(rec["cols"]) <= rec["budget"]
@@ -152,7 +170,7 @@ class TestCompareCommand:
                           "--family", "rademacher", "--trials", "2", "--seed", "1",
                           "--eta", "2e-2,1e-2,5e-3", "--jobs", "1", "-o", prefix])
         assert status == 0
-        rows = open(prefix + ".csv").read().strip().splitlines()
+        rows = read_text(prefix + ".csv").strip().splitlines()
         assert rows[0].startswith("n,N,trial")
         assert len(rows) == 3
         assert "median ks" in capsys.readouterr().out
@@ -166,7 +184,7 @@ class TestConfigAndEnv:
         status = run_cli(["simulate", "--profile", "ones", "--family", "rademacher",
                           "--trials", "1", "--config", str(cfg), "-o", out])
         assert status == 0
-        manifest = json.load(open(out + ".manifest.json"))
+        manifest = read_json(out + ".manifest.json")
         assert manifest["options"]["seed"] == 7
         assert manifest["options"]["n"] == 8
 
@@ -177,7 +195,7 @@ class TestConfigAndEnv:
         run_cli(["simulate", "--profile", "ones", "--n", "8", "--N", "8",
                  "--family", "rademacher", "--trials", "1",
                  "--seed", "11", "--config", str(cfg), "-o", out])
-        manifest = json.load(open(out + ".manifest.json"))
+        manifest = read_json(out + ".manifest.json")
         assert manifest["options"]["seed"] == 11
 
     def test_env_seed_overrides_all(self, tmp_path, monkeypatch):
@@ -185,7 +203,7 @@ class TestConfigAndEnv:
         out = str(tmp_path / "c")
         run_cli(["simulate", "--profile", "ones", "--n", "8", "--N", "8",
                  "--family", "rademacher", "--trials", "1", "--seed", "11", "-o", out])
-        manifest = json.load(open(out + ".manifest.json"))
+        manifest = read_json(out + ".manifest.json")
         assert manifest["options"]["seed"] == 99
 
     def test_missing_config_is_usage_error(self, capsys):
@@ -201,4 +219,4 @@ class TestConfigAndEnv:
         out = str(tmp_path / "cert.json")
         status = run_cli(["certify", "--profile", csv_path, "--z", "0+1i", "-o", out])
         assert status == 0
-        assert json.load(open(out))["n"] == 4
+        assert read_json(out)["n"] == 4

@@ -15,7 +15,7 @@ from hadspec import (
     validate_profile,
 )
 from hadspec.core import DimensionMismatchError
-from hadspec.random_spectra import hermitian_eigensystem, truncated_moments
+from hadspec.random_spectra import truncated_moments
 
 from _oracles import (
     truncated_complex_gaussian_m2,
@@ -200,14 +200,6 @@ class TestHermitianEigenvalues:
         evals = hermitian_eigenvalues(B)
         scale = np.max(np.abs(B))
         assert abs(evals.sum() - np.trace(B)) <= 1e-9 * rand_profile.n * scale
-
-    def test_reconstruction_residual(self, rand_profile):
-        X = sample_matrix(rand_profile.n, rand_profile.N,
-                          EntrySampler("uniform_pm", seed=4, complex_entries=True))
-        B = build_B(rand_profile, X)
-        vals, vecs = hermitian_eigensystem(B)
-        resid = np.max(np.abs(B - (vecs * vals) @ vecs.conj().T))
-        assert resid <= 1e-9 * np.max(np.abs(B))
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):

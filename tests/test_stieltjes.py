@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hadspec import InversionConfig, SolverConfig, edge_refined_grid, validate_profile
+from hadspec import InversionConfig, SolverConfig, edge_refined_grid, make_profile, validate_profile
 from hadspec.stieltjes import (
     MassCheckReport,
     QuadratureStallError,
@@ -10,7 +10,7 @@ from hadspec.stieltjes import (
     mass_check,
 )
 
-from _oracles import mp_density_c1, mp_cdf_c1
+from _oracles import cdf_interval_quad, mp_density_c1, mp_cdf_c1
 
 
 @pytest.fixture(scope="module")
@@ -104,13 +104,9 @@ class TestInversionConfig:
             InversionConfig(x_grid=np.array([]))
         with pytest.raises(ValueError):
             InversionConfig(x_grid=np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            InversionConfig(x_grid=np.array([0.0, 1.0]), eta_sequence=(1e-3, 1e-2))
-        with pytest.raises(ValueError):
-            InversionConfig(x_grid=np.array([0.0, 1.0]), eta_sequence=(1e-2,),
-                            extrapolation="richardson")
-        with pytest.raises(ValueError):
-            InversionConfig(x_grid=np.array([0.0, 1.0]), extrapolation="cubic")
+        for etas in [(1e-3, 1e-2), (), (1e-2, 1e-2), (1e-2, np.nan), (np.inf, 1e-2), (1e-2, 0.0)]:
+            with pytest.raises(ValueError):
+                InversionConfig(x_grid=np.array([0.0, 1.0]), eta_sequence=etas)
 
     def test_edge_refined_grid(self):
         g = edge_refined_grid(-0.5, 4.5, n_uniform=51, n_edge=20)
@@ -144,7 +140,7 @@ class TestCdfInterval:
         # same smoothing height on both sides: differences are pure quadrature
         a, b, eta = 0.5, 2.0, 1e-2
         xs = np.linspace(a, b, 301)
-        cfg = InversionConfig(x_grid=xs, eta_sequence=(eta,), extrapolation="last-value")
+        cfg = InversionConfig(x_grid=xs, eta_sequence=(eta,))
         curve = density_curve(rand_profile, cfg)
         trap = float(np.trapezoid(curve.density, curve.xs))
         quad = cdf_interval(rand_profile, a, b, eta)
@@ -155,6 +151,31 @@ class TestCdfInterval:
             cdf_interval(ones16, 2.0, 1.0, 1e-2)
         with pytest.raises(ValueError):
             cdf_interval(ones16, 0.0, 1.0, -1e-2)
+        for a, b in [(0.5, np.nan), (np.nan, 1.5), (-np.inf, 1.5), (0.5, np.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                cdf_interval(ones16, a, b, 1e-2)
+        with pytest.raises(ValueError, match="strictly descending"):
+            cdf_interval(ones16, 0.5, 1.5, (1e-2, 1e-2))
+
+    def test_schedule_order_does_not_matter(self, rand_profile):
+        fwd = cdf_interval(rand_profile, 0.5, 1.0, (2e-2, 1e-2))
+        assert cdf_interval(rand_profile, 0.5, 1.0, (1e-2, 2e-2)) == fwd
+
+    def test_unconverged_nodes_raise(self):
+        # three map applications cannot converge; integrating the stale
+        # iterates would report ~0.009 where the mass is ~0.287
+        ones8 = validate_profile(np.ones((8, 8)))
+        with pytest.raises(QuadratureStallError, match=r"\d+ of \d+ quadrature nodes"):
+            cdf_interval(ones8, 0.5, 1.5, 1e-2, SolverConfig(max_iter=3))
+
+    @pytest.mark.parametrize("case", ["rand_profile", "iid_uniform_8x8"])
+    def test_matches_adaptive_quadrature_oracle(self, case, rand_profile):
+        if case == "rand_profile":
+            profile, a, b, eta = rand_profile, 0.5, 2.0, 1e-2
+        else:
+            profile = make_profile("iid_uniform:0,2", 8, 8, seed=21)
+            a, b, eta = 0.5, 1.5, (1e-2, 5e-3)
+        assert abs(cdf_interval(profile, a, b, eta) - cdf_interval_quad(profile, a, b, eta)) <= 1e-9
 
 
 class TestMassCheck:
