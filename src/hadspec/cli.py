@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .core import SpectralPoint, WeightProfile, ZGrid
 from .experiments import ExperimentSpec, default_xmax, make_profile, run_experiment
-from .fixed_point import NEAR_AXIS_MAX_ITER, SolverConfig, build_certificate, solve_e0, solve_grid
+from .fixed_point import NEAR_AXIS_MAX_ITER, SolverConfig, build_certificate, certified, solve_e0, solve_grid
 from .random_spectra import EntrySampler, FAMILIES, TruncationPipelineConfig, empirical_spectrum
 from .stieltjes import InversionConfig, density_curve, edge_refined_grid
 from .tightness import plan_truncation
@@ -148,7 +148,6 @@ def solver_from(args, config: dict) -> SolverConfig:
     return SolverConfig(
         tol=float(resolve(args, config, "tol", 1e-12, float)),
         max_iter=int(resolve(args, config, "max_iter", NEAR_AXIS_MAX_ITER, int)),
-        damping=float(resolve(args, config, "damping", 1.0, float)),
     )
 
 
@@ -292,7 +291,7 @@ def cmd_certify(args, config) -> int:
     write_manifest(out + ".manifest.json", "certify", options, [out])
     print(f"rho(C0)={diag.rho:.6g} identity_defect={diag.identity_defect:.3g} "
           f"residual={sol.residual:.3g}")
-    return 0 if (sol.converged and diag.rho < 1.0) else 1
+    return 0 if certified(sol.residual, diag.rho, cfg.tol) else 1
 
 
 def cmd_truncate(args, config) -> int:
@@ -352,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"master seed (env {SEED_ENV} overrides)")
         p.add_argument("--tol", type=float, default=None, help="solver residual target")
         p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-        p.add_argument("--damping", type=float, default=None)
         p.add_argument("-o", "--out", default=None, help="output path or prefix")
         if profile:
             p.add_argument("--profile", default=None,

@@ -215,8 +215,7 @@ class SpectralPoint:
 class ZGrid:
     """Ordered evaluation points; v descends within runs of equal x.
 
-    The ordering is the continuation order: a solver sweeping the grid can
-    warm-start each point from an already-solved neighbor.
+    Solvers return one result per point, in this order.
     """
 
     points: tuple

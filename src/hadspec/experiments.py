@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import WeightProfile, validate_profile
-from .fixed_point import NEAR_AXIS_MAX_ITER, SolverConfig
+from .fixed_point import NEAR_AXIS_MAX_ITER, SolverConfig, certified
 from .metrics import DEFAULT_I_MAX, d_metric, ks_distance
 from .random_spectra import EntrySampler, empirical_spectrum
-from .stieltjes import InversionConfig, density_curve, edge_refined_grid
+from .stieltjes import InversionConfig, _eta_schedule, density_curve, edge_refined_grid
 from .tightness import ZeroColumnAfterTruncationError, plan_truncation, truncate_profile
 
 GENERATORS = ("constant", "ones", "block", "iid_uniform", "spiked")
@@ -96,6 +96,7 @@ class ExperimentSpec:
             raise ValueError("trials must be at least 1")
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1)")
+        object.__setattr__(self, "eta_sequence", _eta_schedule(self.eta_sequence))
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ComparisonReport:
                         for t in range(spec.trials))
             continue
         curve_mass[(n, N)] = curve.total_mass
-        trusted_cell = (diag.residual_max <= spec.solver.tol) and (diag.rho_max < 1.0)
+        trusted_cell = certified(diag.residual_max, diag.rho_max, spec.solver.tol)
         seed = _size_seed(spec.master_seed, n, N)
         spectra = empirical_spectrum(profile, spec.sampler, None, spec.trials, seed=seed)
 

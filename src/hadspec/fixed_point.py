@@ -11,14 +11,15 @@ Identical rows and columns of the variance profile carry identical
 denominators and solution components, so every solve runs on the
 deduplicated (reduced) system and expands afterwards; results are identical
 up to floating-point grouping.  One kernel, ``_damped``, iterates the reduced
-map on a block of P points at once with the averaged iteration
+map on a block of P points, each at its own z, with the averaged iteration
 e <- e + alpha (T(e) - e) of Helton, Rashidi Far and Speicher (IMRN 2007),
-which never leaves C+.  Plain iteration converges only locally, so each
-point adapts its own alpha (see SolverConfig).  ``solve_e0`` is that kernel
-at P = 1 plus the certificate: the spectral radius rho(C0) < 1 and the
-imaginary-part identity defect, which together certify uniqueness and local
-stability.  ``solve_batch`` is the kernel on a horizontal line of points;
-``batch_G`` and ``batch_rho`` evaluate G and rho(C0) on its result.
+which never leaves C+; each point adapts its own alpha.  One matrix-free
+certificate, ``_certify``, gives rho(C0) and the imaginary-part identity
+defect on the block, and ``certified`` (residual <= tol and rho(C0) < 1:
+uniqueness and local stability) defines converged on every path.
+``solve_grid`` solves a grid as one cold-started block, ``solve_e0`` one
+point; ``solve_batch`` is the bare kernel on a horizontal line, evaluated
+by ``batch_G`` and ``batch_certificate``.
 
 The full-size maps (row_denominators, iterate_e, build_certificate,
 cross_contraction_matrix) are the spec surface and the reference the
@@ -49,24 +50,16 @@ class NonpositiveImaginaryInputError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-point solver knobs.
-
-    damping is the initial mixing weight alpha in e <- (1-alpha) e + alpha T(e);
-    it is halved (floor 1/64) whenever the residual increases or a step would
-    leave the upper half-plane, and restored after 10 consecutive decreases.
-    """
+    """Fixed-point solver knobs: the residual target and the map-application budget."""
 
     tol: float = 1e-12
     max_iter: int = 10_000
-    damping: float = 1.0
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not (0 < self.damping <= 1):
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -176,8 +169,8 @@ def _restrict(red, e_full: np.ndarray) -> np.ndarray:
 def _damped(red, c, e, zs, cfg: SolverConfig):
     """Damped iteration of the reduced map, each column at its own z.
 
-    Column p steps e <- e + alpha_p (T(e) - e).  alpha_p halves (floor
-    1/64) when the residual max|T(e) - e| grows and returns to cfg.damping
+    Column p steps e <- e + alpha_p (T(e) - e).  alpha_p starts at 1, halves
+    (floor 1/64) when the residual max|T(e) - e| grows and returns to 1
     after 10 consecutive decreases.  A candidate with a component outside
     C+ cannot occur for alpha in (0, 1] in exact arithmetic; against
     underflow it is rejected, never projected: the iterate stays, alpha_p
@@ -190,8 +183,8 @@ def _damped(red, c, e, zs, cfg: SolverConfig):
     fe = _map(red, c, e, zs)
     res = abs(fe - e).max(axis=0)
     iters = np.ones(P, dtype=int)
-    alpha = np.full(P, cfg.damping)
-    restore_at = np.zeros(P, dtype=int)     # k at which alpha returns to cfg.damping
+    alpha = np.ones(P)
+    restore_at = np.zeros(P, dtype=int)     # k at which alpha returns to 1
     best_e, best_res = np.empty_like(e), np.full(P, np.inf)
     active = res > cfg.tol
     k = 1                                   # map applications of every running column
@@ -217,7 +210,7 @@ def _damped(red, c, e, zs, cfg: SolverConfig):
         e[:, idx], fe[:, idx], res[idx] = cand, fc, res_c
         iters += active
         k += 1
-        alpha[restore_at == k] = cfg.damping
+        alpha[restore_at == k] = 1.0
         active = res > cfg.tol
     use = best_res < res
     if use.any():
@@ -255,22 +248,41 @@ def spectral_radius_nonneg(C: np.ndarray, start: np.ndarray,
     return new, stalled
 
 
-def _certificate_reduced(profile: WeightProfile, v, e_red, denom_red):
-    """rho(C0) and the identity defect at one point via the group-collapsed system.
+def _certify(profile: WeightProfile, e_red: np.ndarray, denom: np.ndarray, v):
+    """rho(C0), the identity defect and the power-iteration stall flag per column.
 
+    denom holds the inner denominators of e_red's columns; v is their height.
     Nonzero eigenvectors of C0 are constant on groups of identical columns,
-    so the Perron value of the nc x nc collapsed matrix equals rho(C0).
+    so rho(C0) is the Perron value of the collapsed matrix
+    outer diag(1/|den|^2) inner diag(c/|1 + c e|^2), applied without forming
+    it.  Stopping and stall rules are those of spectral_radius_nonneg.
     """
     red = profile.reduced
-    c = profile.c
-    inv_abs2 = 1.0 / np.abs(denom_red) ** 2                     # (nr,)
-    wcol = 1.0 / np.abs(1.0 + c * e_red) ** 2                   # (nc,)
-    C_red = (red.outer * (c * inv_abs2)) @ (red.inner * wcol)  # (nc, nc)
-    b_red = red.outer @ inv_abs2                                # (nc,)
+    inv_abs2 = 1.0 / np.abs(denom) ** 2                         # (nr, P)
+    col_w = profile.c / np.abs(1.0 + profile.c * e_red) ** 2    # (nc, P)
+
+    def apply(x, cols):
+        return red.outer @ (inv_abs2[:, cols] * (red.inner @ (col_w[:, cols] * x)))
+
+    b = red.outer @ inv_abs2                                    # (nc, P): b0 > 0, so C0 x > 0
     e2 = e_red.imag
-    defect = float(np.max(np.abs(e2 - C_red @ e2 - v * b_red)))
-    rho, stalled = spectral_radius_nonneg(C_red, b_red)
-    return rho, defect, stalled
+    defect = np.abs(e2 - apply(e2, slice(None)) - np.asarray(v) * b).max(axis=0)
+    x = b / b.max(axis=0)
+    rho, prev = np.zeros(len(defect)), np.zeros(len(defect))
+    live = np.arange(len(defect))                               # columns still iterating
+    for _ in range(_POWER_CAP):
+        y = apply(x[:, live], live)
+        prev[live], rho[live] = rho[live], y.max(axis=0)
+        x[:, live] = y / rho[live]
+        live = live[abs(rho[live] - prev[live]) > _POWER_TOL * rho[live]]
+        if not live.size:
+            break
+    return rho, defect, abs(rho - prev) > _POWER_STALL * rho
+
+
+def certified(res, rho, tol: float):
+    """The one definition of converged: residual <= tol and rho(C0) < 1."""
+    return (res <= tol) & (rho < 1.0)
 
 
 def build_certificate(profile: WeightProfile, sol: FixedPointSolution) -> ContractionDiagnostics:
@@ -312,59 +324,50 @@ def cross_contraction_matrix(profile: WeightProfile, e, e_bar, z) -> np.ndarray:
 # solvers
 # ---------------------------------------------------------------------------
 
+def _solve(profile: WeightProfile, points, cfg: SolverConfig, e=None) -> list:
+    """Iterate every point in one block from e (default: cold start), then certify."""
+    red = profile.reduced
+    zs = np.array([p.z for p in points])
+    if e is None:
+        e = _cold_start(profile, zs.imag)
+    e, res, iters = _damped(red, profile.c, e, zs, cfg)
+    denom = _denominators(red, profile.c, e, zs)
+    rho, defect, stalled = _certify(profile, e, denom, zs.imag)
+    ok = certified(res, rho, cfg.tol)
+    g = _reduced_G(profile, denom)
+    return [FixedPointSolution(
+                z=pt, e0=_expand(red, e[:, p]), residual=float(res[p]), rho_C0=float(rho[p]),
+                identity_defect=float(defect[p]), iterations=int(iters[p]), g=complex(g[p]),
+                converged=bool(ok[p]), rho_stalled=bool(stalled[p]))
+            for p, pt in enumerate(points)]
+
+
 def solve_e0(profile: WeightProfile, z, cfg: SolverConfig | None = None,
              warm_start=None) -> FixedPointSolution:
     """Solve the coupled system at one point of the upper half-plane.
 
-    Cold start is the exact large-v asymptote e_j = i t_j / v with
-    t_j = (1/n) sum_i d_ij^2.  The iterate never leaves the upper
-    half-plane; on hitting max_iter the best iterate is returned with
-    converged=False rather than raising.  A warm start that differs across
-    identical profile columns is collapsed to its first-column
+    solve_grid at one point.  Cold start is the exact large-v asymptote
+    e_j = i t_j / v with t_j = (1/n) sum_i d_ij^2.  The iterate never leaves
+    the upper half-plane; on hitting max_iter the best iterate is returned
+    with converged=False rather than raising.  A warm start that differs
+    across identical profile columns is collapsed to its first-column
     representatives (the fixed point is column-symmetric).
     """
-    cfg = cfg or SolverConfig()
-    zc = _as_z(z)
-    red = profile.reduced
+    point = SpectralPoint.of(_as_z(z))
+    e = None
     if warm_start is not None:
-        e = _restrict(red, warm_start)[:, None]
+        e = _restrict(profile.reduced, warm_start)[:, None]
         _check_upper(e)
-    else:
-        e = _cold_start(profile, zc.imag)
-    zs = np.array([zc])
-    e, res, iters = _damped(red, profile.c, e, zs, cfg)
-    denom = _denominators(red, profile.c, e, zs)
-    rho, defect, stalled = _certificate_reduced(profile, zc.imag, e[:, 0], denom[:, 0])
-    # a solution is only "converged" when the residual target is met AND the
-    # uniqueness certificate holds
-    converged = bool(res[0] <= cfg.tol) and rho < 1.0
-    point = z if isinstance(z, SpectralPoint) else SpectralPoint.of(zc)
-    return FixedPointSolution(
-        z=point, e0=_expand(red, e[:, 0]), residual=float(res[0]), rho_C0=rho,
-        identity_defect=defect, iterations=int(iters[0]),
-        g=complex(_reduced_G(profile, denom)[0]), converged=converged, rho_stalled=stalled,
-    )
+    return _solve(profile, [point], cfg or SolverConfig(), e)[0]
 
 
 def solve_grid(profile: WeightProfile, grid: ZGrid, cfg: SolverConfig | None = None):
-    """Solve every grid point, warm-starting from the nearest solved point.
+    """Solve every grid point, each at its own z, as one cold-started block.
 
-    Failures (unconverged points) are recorded in place and excluded from
-    the warm-start pool; the sweep never aborts.
+    Each point iterates, freezes and is certified exactly as solve_e0 would
+    do it alone; unconverged points are recorded in place, never raised.
     """
-    cfg = cfg or SolverConfig()
-    solutions = []
-    solved_pts: list[tuple[complex, np.ndarray]] = []
-    for point in grid:
-        warm = None
-        if solved_pts:
-            dists = [abs(point.z - zc) for zc, _ in solved_pts]
-            warm = solved_pts[int(np.argmin(dists))][1]
-        sol = solve_e0(profile, point, cfg, warm_start=warm)
-        solutions.append(sol)
-        if sol.converged:
-            solved_pts.append((point.z, sol.e0))
-    return solutions
+    return _solve(profile, list(grid), cfg or SolverConfig())
 
 
 def solve_batch(profile: WeightProfile, xs, v: float, cfg: SolverConfig | None = None,
@@ -393,9 +396,7 @@ def batch_G(profile: WeightProfile, e_red: np.ndarray, xs, v: float) -> np.ndarr
     return _reduced_G(profile, _denominators(profile.reduced, profile.c, e_red, zs))
 
 
-def batch_rho(profile: WeightProfile, e_red: np.ndarray, xs, v: float) -> np.ndarray:
-    """rho(C0) for every batch column from the reduced solutions."""
+def batch_certificate(profile: WeightProfile, e_red: np.ndarray, xs, v: float):
+    """(rho(C0), identity defect, stalled) for every batch column, see _certify."""
     zs = np.asarray(xs, dtype=float) + 1j * v
-    denom = _denominators(profile.reduced, profile.c, e_red, zs)
-    return np.array([_certificate_reduced(profile, v, e_red[:, p], denom[:, p])[0]
-                     for p in range(e_red.shape[1])])
+    return _certify(profile, e_red, _denominators(profile.reduced, profile.c, e_red, zs), v)

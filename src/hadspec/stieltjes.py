@@ -9,7 +9,8 @@ mass detected at zero by mass deficit.
 Both inversions run one batched sweep down the eta schedule: the density
 on its x grid, interval masses on the nodes of 8-point Gauss-Legendre
 panels at most 2 eta_min wide (Im G(x + i eta) is analytic for
-|Im x| < eta).  Memory is O(points x unique columns).
+|Im x| < eta), certifying every point at every level.  Memory is
+O(points x unique columns).
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from scipy import integrate
 
 from .core import DensityCurve, WeightProfile
-from .fixed_point import NEAR_AXIS_MAX_ITER, SolverConfig, batch_G, batch_rho, solve_batch, solve_e0
+from .fixed_point import (NEAR_AXIS_MAX_ITER, SolverConfig, batch_certificate, batch_G,
+                          certified, solve_batch, solve_e0)
 
 _INVERSION_SOLVER = SolverConfig(tol=1e-12, max_iter=NEAR_AXIS_MAX_ITER)
 
@@ -93,7 +95,7 @@ def edge_refined_grid(lo: float, hi: float, n_uniform: int = 141,
 
 @dataclass(frozen=True)
 class DensityDiagnostics:
-    """Solver quality over the inversion sweep (worst case over grid)."""
+    """Solver quality over the inversion sweep (worst case over every point and eta level)."""
 
     residual_max: float
     rho_max: float
@@ -102,21 +104,23 @@ class DensityDiagnostics:
 
 
 def _sweep(profile: WeightProfile, xs: np.ndarray, etas: tuple, scfg: SolverConfig):
-    """Solve every x + i eta, each level warm-started from the one above.
+    """Solve and certify every x + i eta, each level warm-started from the one above.
 
-    Returns Im G and the converged mask, both (levels, points), the total
-    map applications, the worst residual and the finest level's solutions.
+    Returns Im G and the certified mask, both (levels, points), the total
+    map applications, the worst residual and the worst rho(C0).
     """
     im, ok = [], []
     e_red = None
-    iters_total, residual_max = 0, 0.0
+    iters_total, residual_max, rho_max = 0, 0.0, 0.0
     for eta in etas:
         e_red, res, iters = solve_batch(profile, xs, eta, scfg, warm=e_red)
+        rho, _, _ = batch_certificate(profile, e_red, xs, eta)
         iters_total += int(iters.sum())
         im.append(batch_G(profile, e_red, xs, eta).imag)
-        ok.append(res <= scfg.tol)
+        ok.append(certified(res, rho, scfg.tol))
         residual_max = max(residual_max, float(res.max()))
-    return np.array(im), np.array(ok), iters_total, residual_max, e_red
+        rho_max = max(rho_max, float(rho.max()))
+    return np.array(im), np.array(ok), iters_total, residual_max, rho_max
 
 
 def density_curve(profile: WeightProfile, cfg: InversionConfig,
@@ -126,19 +130,15 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
 
     Grid points are independent and are iterated in one data-parallel sweep
     per eta level, warm-starting each level from the previous one
-    (continuation in descending v).  Points whose solve fails at a level
-    used by the extrapolation are reported as gaps and the curve is flagged
-    partial.
+    (continuation in descending v).  Points not certified at a level used by
+    the extrapolation are gaps: the curve is partial and books no atom, so
+    the mass the gaps lose stays missing instead of becoming a point mass.
     """
     scfg = solver_cfg or _INVERSION_SOLVER
     xs = cfg.x_grid
     etas = cfg.eta_sequence
     used = min(len(etas), 2)
-    im, ok, iters_total, residual_max, e_red = _sweep(profile, xs, etas, scfg)
-
-    # certificates at the finest level (the binding one)
-    rho_max = float(batch_rho(profile, e_red, xs, etas[-1]).max())
-
+    im, ok, iters_total, residual_max, rho_max = _sweep(profile, xs, etas, scfg)
     good = ok[-used:].all(axis=0)
     failed = tuple(float(x) for x in xs[~good])
     xs_ok = xs[good]
@@ -155,7 +155,7 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
         raise QuadratureStallError("too few converged grid points to integrate a density")
     mass = float(np.trapezoid(density, xs_ok))
     deficit = 1.0 - mass
-    atom = deficit if deficit > cfg.atom_threshold else 0.0
+    atom = deficit if deficit > cfg.atom_threshold and not failed else 0.0
     cdf = np.concatenate([[0.0], integrate.cumulative_trapezoid(density, xs_ok)])
     cdf = cdf + atom * (xs_ok >= 0.0)
 

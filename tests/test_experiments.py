@@ -48,6 +48,14 @@ class TestMakeProfile:
         assert g[0] < 0 < 4 < g[-1]
 
 
+class TestExperimentSpec:
+    @pytest.mark.parametrize("etas", [(1e-2, 1e-2), (1e-2, np.nan), (5e-3, 1e-2), ()])
+    def test_rejects_invalid_eta_schedule(self, etas):
+        # every cell would fail later; reject the schedule up front
+        with pytest.raises(ValueError, match="eta_sequence"):
+            small_spec(etas=etas)
+
+
 class TestRunExperiment:
     def test_small_run_produces_trusted_rows(self):
         report = run_experiment(small_spec())

@@ -92,6 +92,17 @@ class TestDensityCurve:
         assert len(curve.failed_xs) > 0
         assert len(curve.xs) + len(curve.failed_xs) == 25
 
+    def test_partial_curve_books_no_atom(self):
+        # c = 1: no atom.  47 of 59 points fail under a 50-step budget; their
+        # lost mass must stay missing, not be booked as an atom at zero
+        ones = validate_profile(np.ones((16, 16)))
+        grid = edge_refined_grid(-0.5, 4.5, n_uniform=41, n_edge=10)
+        curve = density_curve(ones, InversionConfig(x_grid=grid), SolverConfig(max_iter=50))
+        assert len(grid) == 59 and len(curve.failed_xs) == 47
+        assert curve.partial
+        assert curve.atom_at_zero == 0.0
+        assert curve.total_mass < 0.5
+
     def test_all_failed_raises(self, ones16):
         cfg = InversionConfig(x_grid=np.linspace(0.0, 4.0, 10), eta_sequence=(1e-2, 5e-3))
         with pytest.raises(QuadratureStallError):
