@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .core import SpectralPoint, WeightProfile, ZGrid
 from .experiments import ExperimentSpec, default_xmax, make_profile, run_experiment
-from .fixed_point import NEAR_AXIS_MAX_ITER, SolverConfig, build_certificate, certified, solve_e0, solve_grid
+from .fixed_point import SolverConfig, build_certificate, certified, solve_e0, solve_grid
 from .random_spectra import EntrySampler, FAMILIES, TruncationPipelineConfig, empirical_spectrum
 from .stieltjes import InversionConfig, density_curve, edge_refined_grid
 from .tightness import plan_truncation
@@ -145,9 +145,10 @@ def load_profile(args, config: dict, seed: int) -> WeightProfile:
 
 
 def solver_from(args, config: dict) -> SolverConfig:
+    default = SolverConfig()
     return SolverConfig(
-        tol=float(resolve(args, config, "tol", 1e-12, float)),
-        max_iter=int(resolve(args, config, "max_iter", NEAR_AXIS_MAX_ITER, int)),
+        tol=float(resolve(args, config, "tol", default.tol, float)),
+        max_iter=int(resolve(args, config, "max_iter", default.max_iter, int)),
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import WeightProfile, validate_profile
-from .fixed_point import NEAR_AXIS_MAX_ITER, SolverConfig, certified
+from .fixed_point import SolverConfig, certified
 from .metrics import DEFAULT_I_MAX, d_metric, ks_distance
 from .random_spectra import EntrySampler, empirical_spectrum
 from .stieltjes import InversionConfig, _eta_schedule, density_curve, edge_refined_grid
@@ -85,7 +85,7 @@ class ExperimentSpec:
     master_seed: int = 0
     i_max: int = DEFAULT_I_MAX
     eta_sequence: tuple = (1e-2, 5e-3, 2.5e-3)
-    solver: SolverConfig = field(default_factory=lambda: SolverConfig(max_iter=NEAR_AXIS_MAX_ITER))
+    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         sizes = tuple((int(n), int(N)) for n, N in self.sizes)

@@ -10,10 +10,14 @@ equivalent's Stieltjes transform G(z) = (1/n) sum_i 1/denom_i.
 Identical rows and columns of the variance profile carry identical
 denominators and solution components, so every solve runs on the
 deduplicated (reduced) system and expands afterwards; results are identical
-up to floating-point grouping.  One kernel, ``_damped``, iterates the reduced
-map on a block of P points, each at its own z, with the averaged iteration
-e <- e + alpha (T(e) - e) of Helton, Rashidi Far and Speicher (IMRN 2007),
-which never leaves C+; each point adapts its own alpha.  One matrix-free
+up to floating-point grouping.  One kernel, ``_anderson``, iterates the
+reduced map on a block of P points, each at its own z, with depth-3 type-II
+Anderson mixing (Walker and Ni, SINUM 2011) batched over the block.  Near
+the real axis the plain map contracts at rate rho(C0) ~ 1 - O(Im z) and
+needs about 1/(1 - rho) applications; Anderson mixing needs tens, so one
+iteration budget serves every height.  A mixed candidate that leaves C+
+falls back to the plain map step, which never does (the averaged iteration
+of Helton, Rashidi Far and Speicher, IMRN 2007, at weight 1).  One matrix-free
 certificate, ``_certify``, gives rho(C0) and the imaginary-part identity
 defect on the block, and ``certified`` (residual <= tol and rho(C0) < 1:
 uniqueness and local stability) defines converged on every path.
@@ -34,14 +38,11 @@ import numpy as np
 
 from .core import FixedPointSolution, SpectralPoint, WeightProfile, ZGrid
 
-_MIN_DAMPING = 1.0 / 64.0
+_DEPTH = 3          # Anderson history length m; 5 and 8 cost more per step than they save
+_REG = 1e-14        # normal-equation regularisation, relative to the trace
 _POWER_TOL = 1e-12
 _POWER_CAP = 50_000
 _POWER_STALL = 1e-10
-
-# Horizontal sweeps close to the real axis converge at rate 1 - O(eta);
-# the generic solver default of 10k map applications is not enough there.
-NEAR_AXIS_MAX_ITER = 300_000
 
 
 class NonpositiveImaginaryInputError(ValueError):
@@ -166,56 +167,67 @@ def _restrict(red, e_full: np.ndarray) -> np.ndarray:
     return np.asarray(e_full, dtype=complex)[first]
 
 
-def _damped(red, c, e, zs, cfg: SolverConfig):
-    """Damped iteration of the reduced map, each column at its own z.
+def _anderson(red, c, e, zs, cfg: SolverConfig):
+    """Type-II Anderson mixing of the reduced map, each column at its own z.
 
-    Column p steps e <- e + alpha_p (T(e) - e).  alpha_p starts at 1, halves
-    (floor 1/64) when the residual max|T(e) - e| grows and returns to 1
-    after 10 consecutive decreases.  A candidate with a component outside
-    C+ cannot occur for alpha in (0, 1] in exact arithmetic; against
-    underflow it is rejected, never projected: the iterate stays, alpha_p
-    halves and the step counts toward max_iter.  A column freezes once its
-    residual reaches tol or it has used max_iter map applications, and it
-    ends on its best iterate.  Overwrites e; returns (e, residuals,
-    map applications per column).
+    Column p keeps the last _DEPTH differences dR of its residual
+    r = T(e) - e and dT of its map value T(e); gamma_p minimises
+    |r - dR gamma| (normal equations, regularised by 1e-14 trace) and the
+    next iterate is T(e) - dT gamma (Walker and Ni, SINUM 2011).  A
+    candidate with a component outside C+ is replaced by the plain step
+    T(e), which lies in C+ (the averaged step of Helton, Rashidi Far and
+    Speicher, IMRN 2007, at weight 1), and its column's history is reset.
+    A column freezes once its residual max|T(e) - e| reaches tol or it has
+    used max_iter map applications, and it ends on its best iterate.
+    Working arrays shrink to the running columns when some freeze; history
+    memory is O(_DEPTH x unique columns x P).  Overwrites e; returns
+    (e, residuals, map applications per column).
     """
     P = e.shape[1]
-    fe = _map(red, c, e, zs)
-    res = abs(fe - e).max(axis=0)
-    iters = np.ones(P, dtype=int)
-    alpha = np.ones(P)
-    restore_at = np.zeros(P, dtype=int)     # k at which alpha returns to 1
-    best_e, best_res = np.empty_like(e), np.full(P, np.inf)
-    active = res > cfg.tol
+    res_out, iters_out = np.empty(P), np.empty(P, dtype=int)
+    live, zl, x = np.arange(P), zs, e
+    fx = _map(red, c, x, zl)
+    r = fx - x
+    res = abs(r).max(axis=0)
+    dR = np.zeros((_DEPTH,) + x.shape, dtype=complex)
+    dT = np.zeros_like(dR)
+    best_x, best_res = np.empty_like(x), np.full(P, np.inf)
+    diag = (slice(None),) + np.diag_indices(_DEPTH)
     k = 1                                   # map applications of every running column
-    while k < cfg.max_iter and (count := np.count_nonzero(active)):
-        # basic slices while every column runs; compact once some froze
-        idx = slice(None) if count == P else np.flatnonzero(active)
-        ea, fea, ra = e[:, idx], fe[:, idx], res[idx]
-        cand = ea + alpha[idx] * (fea - ea)
-        bad = (cand.imag <= 0).any(axis=0)
+    while True:
+        done = res <= cfg.tol if k < cfg.max_iter else np.ones(len(live), dtype=bool)
+        if done.any():
+            cols, use = live[done], best_res[done] < res[done]
+            e[:, cols] = np.where(use, best_x[:, done], x[:, done])
+            res_out[cols] = np.where(use, best_res[done], res[done])
+            iters_out[cols] = k
+            if done.all():
+                return e, res_out, iters_out
+            run = ~done
+            live, zl, x, fx, r, res = live[run], zl[run], x[:, run], fx[:, run], r[:, run], res[run]
+            dR, dT, best_x, best_res = dR[:, :, run], dT[:, :, run], best_x[:, run], best_res[run]
+        # empty history slots have a zero diagonal: unit weight there pins gamma to 0
+        dRc = dR.conj()
+        gram = np.einsum("inp,jnp->pij", dRc, dR)
+        d = gram[diag].real
+        gram[diag] += np.where(d > 0, _REG * d.sum(axis=1, keepdims=True), 1.0)
+        gamma = np.linalg.solve(gram, np.einsum("inp,np->pi", dRc, r)[..., None])[..., 0]
+        cand = fx - np.einsum("inp,pi->np", dT, gamma)
+        bad = ~(cand.imag > 0).all(axis=0)
         if bad.any():
-            cand[:, bad] = ea[:, bad]
-        fc = _map(red, c, cand, zs[idx])
-        res_c = abs(fc - cand).max(axis=0)
-        worse = (res_c > ra) | bad
-        if worse.any():
-            cols = np.arange(P)[idx][worse]
-            # the iterate before a residual increase may be its column's best
-            keep = ra[worse] < best_res[cols]
-            best_e[:, cols[keep]] = ea[:, worse][:, keep]
-            best_res[cols[keep]] = ra[worse][keep]
-            alpha[cols] = np.maximum(alpha[cols] / 2.0, _MIN_DAMPING)
-            restore_at[cols] = k + 11     # after 10 consecutive decreases
-        e[:, idx], fe[:, idx], res[idx] = cand, fc, res_c
-        iters += active
+            cand[:, bad] = fx[:, bad]
+            dR[:, :, bad] = dT[:, :, bad] = 0.0
+        fc = _map(red, c, cand, zl)
+        rc = fc - cand
+        res_c = abs(rc).max(axis=0)
+        # the iterate before a residual increase may be its column's best
+        keep = (res_c > res) & (res < best_res)
+        if keep.any():
+            best_x[:, keep], best_res[keep] = x[:, keep], res[keep]
+        slot = k % _DEPTH
+        dR[slot], dT[slot] = rc - r, fc - fx
+        x, fx, r, res = cand, fc, rc, res_c
         k += 1
-        alpha[restore_at == k] = 1.0
-        active = res > cfg.tol
-    use = best_res < res
-    if use.any():
-        e[:, use], res[use] = best_e[:, use], best_res[use]
-    return e, res, iters
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +246,16 @@ def spectral_radius_nonneg(C: np.ndarray, start: np.ndarray,
     if norm <= 0:
         raise ValueError("start vector must be entrywise positive")
     x = x / norm
-    rho = 0.0
+    rho = prev = 0.0
     for _ in range(cap):
         y = C @ x
-        new = float(y.max())
-        if new <= 0.0:
+        prev, rho = rho, float(y.max())
+        if rho <= 0.0:
             return 0.0, False
-        x = y / new
-        if abs(new - rho) <= rel_tol * max(new, 1e-300):
-            return new, False
-        rho = new
-    stalled = abs(new - rho) > _POWER_STALL * max(new, 1e-300)
-    return new, stalled
+        x = y / rho
+        if abs(rho - prev) <= rel_tol * rho:
+            return rho, False
+    return rho, abs(rho - prev) > _POWER_STALL * rho
 
 
 def _certify(profile: WeightProfile, e_red: np.ndarray, denom: np.ndarray, v):
@@ -330,7 +340,7 @@ def _solve(profile: WeightProfile, points, cfg: SolverConfig, e=None) -> list:
     zs = np.array([p.z for p in points])
     if e is None:
         e = _cold_start(profile, zs.imag)
-    e, res, iters = _damped(red, profile.c, e, zs, cfg)
+    e, res, iters = _anderson(red, profile.c, e, zs, cfg)
     denom = _denominators(red, profile.c, e, zs)
     rho, defect, stalled = _certify(profile, e, denom, zs.imag)
     ok = certified(res, rho, cfg.tol)
@@ -372,10 +382,10 @@ def solve_grid(profile: WeightProfile, grid: ZGrid, cfg: SolverConfig | None = N
 
 def solve_batch(profile: WeightProfile, xs, v: float, cfg: SolverConfig | None = None,
                 warm: np.ndarray | None = None):
-    """Solve all points x + iv simultaneously (data-parallel damped iteration).
+    """Solve all points x + iv simultaneously (data-parallel Anderson mixing).
 
-    Grid points are independent; each column follows the damped update rule
-    of solve_e0 and freezes once its residual reaches tol.  A column that
+    Grid points are independent; each column follows the update rule of
+    solve_e0 and freezes once its residual reaches tol.  A column that
     hits max_iter is not an error: its residual stays above tol.  Returns
     (e_red, residuals, iterations) with e_red of shape
     (unique columns, len(xs)).
@@ -387,7 +397,7 @@ def solve_batch(profile: WeightProfile, xs, v: float, cfg: SolverConfig | None =
         _check_upper(e)
     else:
         e = _cold_start(profile, np.full(len(zs), float(v)))
-    return _damped(profile.reduced, profile.c, e, zs, cfg)
+    return _anderson(profile.reduced, profile.c, e, zs, cfg)
 
 
 def batch_G(profile: WeightProfile, e_red: np.ndarray, xs, v: float) -> np.ndarray:

@@ -18,13 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .core import DensityCurve, WeightProfile
-from .fixed_point import (NEAR_AXIS_MAX_ITER, SolverConfig, batch_certificate, batch_G,
-                          certified, solve_batch, solve_e0)
-
-_INVERSION_SOLVER = SolverConfig(tol=1e-12, max_iter=NEAR_AXIS_MAX_ITER)
+from .fixed_point import SolverConfig, batch_certificate, batch_G, certified, solve_batch, solve_e0
 
 # Richardson is trusted only where the two finest levels agree to this
 # relative band; elsewhere (support edges, steep density shoulders) the
@@ -134,7 +130,7 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
     the extrapolation are gaps: the curve is partial and books no atom, so
     the mass the gaps lose stays missing instead of becoming a point mass.
     """
-    scfg = solver_cfg or _INVERSION_SOLVER
+    scfg = solver_cfg or SolverConfig()
     xs = cfg.x_grid
     etas = cfg.eta_sequence
     used = min(len(etas), 2)
@@ -156,7 +152,7 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
     mass = float(np.trapezoid(density, xs_ok))
     deficit = 1.0 - mass
     atom = deficit if deficit > cfg.atom_threshold and not failed else 0.0
-    cdf = np.concatenate([[0.0], integrate.cumulative_trapezoid(density, xs_ok)])
+    cdf = np.concatenate([[0.0], np.cumsum(np.diff(xs_ok) * (density[1:] + density[:-1]) / 2.0)])
     cdf = cdf + atom * (xs_ok >= 0.0)
 
     curve = DensityCurve(xs=xs_ok, density=density, cdf=cdf,
@@ -197,7 +193,7 @@ def cdf_interval(profile: WeightProfile, a: float, b: float, eta,
     half = np.diff(edges)[:, None] / 2.0
     xs = (edges[:-1, None] + half + half * _GAUSS_X).ravel()
 
-    im, ok, *_ = _sweep(profile, xs, etas, solver_cfg or _INVERSION_SOLVER)
+    im, ok, *_ = _sweep(profile, xs, etas, solver_cfg or SolverConfig())
     failed = np.count_nonzero(~ok[-used:].all(axis=0))
     if failed:
         raise QuadratureStallError(f"{failed} of {len(xs)} quadrature nodes did not converge")

@@ -16,11 +16,9 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
-from hadspec.fixed_point import NEAR_AXIS_MAX_ITER, SolverConfig, solve_e0
+from hadspec.fixed_point import SolverConfig, solve_e0
 from hadspec.stieltjes import QuadratureStallError
 from hadspec.tightness import TruncationPlan
-
-_INVERSION_SOLVER = SolverConfig(tol=1e-12, max_iter=NEAR_AXIS_MAX_ITER)
 
 
 # -- Marchenko-Pastur scalar oracle (all-ones profile) -----------------------
@@ -230,7 +228,7 @@ def cdf_interval_quad(profile, a: float, b: float, eta,
         return 0.0
     if eta <= 0:
         raise ValueError("eta must be positive")
-    scfg = solver_cfg or _INVERSION_SOLVER
+    scfg = solver_cfg or SolverConfig()
 
     cache: list[tuple[float, np.ndarray]] = []
 

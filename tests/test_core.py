@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,18 @@ from hadspec import (
     validate_profile,
 )
 from hadspec.core import NonFiniteEntryError
+
+import hadspec
+
+
+def test_import_loads_no_scipy():
+    # scipy.integrate alone adds about 0.5 s and 50 MB to the import
+    src = os.path.dirname(os.path.dirname(hadspec.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hadspec; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestValidateProfile:
