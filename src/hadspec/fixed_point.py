@@ -17,7 +17,11 @@ the real axis the plain map contracts at rate rho(C0) ~ 1 - O(Im z) and
 needs about 1/(1 - rho) applications; Anderson mixing needs tens, so one
 iteration budget serves every height.  A mixed candidate that leaves C+
 falls back to the plain map step, which never does (the averaged iteration
-of Helton, Rashidi Far and Speicher, IMRN 2007, at weight 1).  One matrix-free
+of Helton, Rashidi Far and Speicher, IMRN 2007, at weight 1).  The kernel's
+state is points-major: each point's history of _DEPTH differences is
+contiguous, its Gram matrix is updated by one row per step, and the
+normal equations of all points are solved at once by an unrolled Cholesky
+factorisation (``_hermitian_solve``).  One matrix-free
 certificate, ``_certify``, gives rho(C0) and the imaginary-part identity
 defect on the block, and ``certified`` (residual <= tol and rho(C0) < 1:
 uniqueness and local stability) defines converged on every path.
@@ -167,6 +171,46 @@ def _restrict(red, e_full: np.ndarray) -> np.ndarray:
     return np.asarray(e_full, dtype=complex)[first]
 
 
+def _map_points(red, c, x, zs) -> np.ndarray:
+    # the reduced map on points-major iterates x (P, nc), through the (nc, P) product
+    return np.ascontiguousarray(_map(red, c, np.ascontiguousarray(x.T), zs).T)
+
+
+def _hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b for a stack a (n, m, m) of Hermitian positive-definite matrices.
+
+    Unrolled Cholesky a = L L^H, then forward and back substitution, each
+    entry vectorised over the stack; reads a's lower triangle and the real
+    part of its diagonal.  A non-positive or NaN pivot turns its matrix's
+    whole row of x into NaN, silently.
+    """
+    m = b.shape[1]
+    L, Lc, y, diag = {}, {}, [], []         # L[i, j] for i > j, Lc its conjugate
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(m):
+            piv = a[:, j, j].real
+            for k in range(j):
+                piv = piv - (L[j, k] * Lc[j, k]).real
+            diag.append(np.sqrt(np.where(piv > 0, piv, np.nan)))
+            for i in range(j + 1, m):
+                s = a[:, i, j]
+                for k in range(j):
+                    s = s - L[i, k] * Lc[j, k]
+                L[i, j] = s / diag[j]
+                Lc[i, j] = L[i, j].conj()
+            s = b[:, j]
+            for k in range(j):
+                s = s - L[j, k] * y[k]
+            y.append(s / diag[j])
+        x = [None] * m
+        for j in reversed(range(m)):
+            s = y[j]
+            for k in range(j + 1, m):
+                s = s - Lc[k, j] * x[k]
+            x[j] = s / diag[j]
+    return np.stack(x, axis=1)
+
+
 def _anderson(red, c, e, zs, cfg: SolverConfig):
     """Type-II Anderson mixing of the reduced map, each column at its own z.
 
@@ -174,60 +218,75 @@ def _anderson(red, c, e, zs, cfg: SolverConfig):
     r = T(e) - e and dT of its map value T(e); gamma_p minimises
     |r - dR gamma| (normal equations, regularised by 1e-14 trace) and the
     next iterate is T(e) - dT gamma (Walker and Ni, SINUM 2011).  A
-    candidate with a component outside C+ is replaced by the plain step
-    T(e), which lies in C+ (the averaged step of Helton, Rashidi Far and
-    Speicher, IMRN 2007, at weight 1), and its column's history is reset.
-    A column freezes once its residual max|T(e) - e| reaches tol or it has
-    used max_iter map applications, and it ends on its best iterate.
-    Working arrays shrink to the running columns when some freeze; history
-    memory is O(_DEPTH x unique columns x P).  Overwrites e; returns
-    (e, residuals, map applications per column).
+    candidate with a component outside C+ (or NaN, as from a failed
+    Cholesky pivot) is replaced by the plain step T(e), which lies in C+
+    (the averaged step of Helton, Rashidi Far and Speicher, IMRN 2007, at
+    weight 1), and its column's history is reset.  A column freezes once
+    its residual max|T(e) - e| reaches tol or it has used max_iter map
+    applications, and it ends on its best iterate.
+
+    State is points-major: iterates (P, nc), history (P, _DEPTH, nc) and
+    a Gram matrix (P, _DEPTH, _DEPTH) kept across steps, of which each step
+    recomputes only the row of the slot it overwrites; the normal equations
+    are solved by _hermitian_solve.  Running columns occupy the first n
+    slots: a freezing column's slot is refilled by a trailing running
+    column, so compaction moves only O(frozen) data.  Returns the solutions
+    (nc, P), their residuals and the map applications per column.
     """
     P = e.shape[1]
-    res_out, iters_out = np.empty(P), np.empty(P, dtype=int)
-    live, zl, x = np.arange(P), zs, e
-    fx = _map(red, c, x, zl)
+    x = np.array(e.T, order="C")            # a copy: slots are swapped in place
+    x_out, res_out, iters_out = np.empty_like(x), np.empty(P), np.empty(P, dtype=int)
+    cols, z = np.arange(P), np.array(zs)        # slot i runs column cols[i] at z[i]
+    fx = _map_points(red, c, x, z)
     r = fx - x
-    res = abs(r).max(axis=0)
-    dR = np.zeros((_DEPTH,) + x.shape, dtype=complex)
+    res = abs(r).max(axis=1)
+    dR = np.zeros((P, _DEPTH, x.shape[1]), dtype=complex)
     dT = np.zeros_like(dR)
+    gram = np.zeros((P, _DEPTH, _DEPTH), dtype=complex)
     best_x, best_res = np.empty_like(x), np.full(P, np.inf)
     diag = (slice(None),) + np.diag_indices(_DEPTH)
-    k = 1                                   # map applications of every running column
-    while True:
-        done = res <= cfg.tol if k < cfg.max_iter else np.ones(len(live), dtype=bool)
+    n, k = P, 1                             # running columns; map applications of each
+    while n:
+        done = res <= cfg.tol if k < cfg.max_iter else np.ones(n, dtype=bool)
         if done.any():
-            cols, use = live[done], best_res[done] < res[done]
-            e[:, cols] = np.where(use, best_x[:, done], x[:, done])
-            res_out[cols] = np.where(use, best_res[done], res[done])
-            iters_out[cols] = k
-            if done.all():
-                return e, res_out, iters_out
-            run = ~done
-            live, zl, x, fx, r, res = live[run], zl[run], x[:, run], fx[:, run], r[:, run], res[run]
-            dR, dT, best_x, best_res = dR[:, :, run], dT[:, :, run], best_x[:, run], best_res[run]
+            idx = np.flatnonzero(done)
+            use, out = best_res[idx] < res[idx], cols[idx]
+            x_out[out] = np.where(use[:, None], best_x[idx], x[idx])
+            res_out[out] = np.where(use, best_res[idx], res[idx])
+            iters_out[out] = k
+            n -= len(idx)
+            if not n:
+                break
+            holes, movers = idx[idx < n], n + np.flatnonzero(~done[n:])
+            for state in (cols, z, x, fx, r, res, dR, dT, gram, best_x, best_res):
+                state[holes] = state[movers]
+            x, fx, r, res = x[:n], fx[:n], r[:n], res[:n]
+        H, T, G = dR[:n], dT[:n], gram[:n]
         # empty history slots have a zero diagonal: unit weight there pins gamma to 0
-        dRc = dR.conj()
-        gram = np.einsum("inp,jnp->pij", dRc, dR)
-        d = gram[diag].real
-        gram[diag] += np.where(d > 0, _REG * d.sum(axis=1, keepdims=True), 1.0)
-        gamma = np.linalg.solve(gram, np.einsum("inp,np->pi", dRc, r)[..., None])[..., 0]
-        cand = fx - np.einsum("inp,pi->np", dT, gamma)
-        bad = ~(cand.imag > 0).all(axis=0)
+        a = G.copy()
+        d = a[diag].real
+        a[diag] = d + np.where(d > 0, _REG * d.sum(axis=1, keepdims=True), 1.0)
+        gamma = _hermitian_solve(a, (H @ r.conj()[:, :, None])[:, :, 0].conj())
+        cand = fx - (gamma[:, None, :] @ T)[:, 0]
+        bad = ~(cand.imag > 0).all(axis=1)
         if bad.any():
-            cand[:, bad] = fx[:, bad]
-            dR[:, :, bad] = dT[:, :, bad] = 0.0
-        fc = _map(red, c, cand, zl)
+            cand[bad] = fx[bad]
+            H[bad] = T[bad] = G[bad] = 0.0
+        fc = _map_points(red, c, cand, z[:n])
         rc = fc - cand
-        res_c = abs(rc).max(axis=0)
+        res_c = abs(rc).max(axis=1)
         # the iterate before a residual increase may be its column's best
-        keep = (res_c > res) & (res < best_res)
+        keep = (res_c > res) & (res < best_res[:n])
         if keep.any():
-            best_x[:, keep], best_res[keep] = x[:, keep], res[keep]
+            best_x[:n][keep], best_res[:n][keep] = x[keep], res[keep]
         slot = k % _DEPTH
-        dR[slot], dT[slot] = rc - r, fc - fx
+        np.subtract(rc, r, out=H[:, slot])
+        np.subtract(fc, fx, out=T[:, slot])
+        row = (H @ H[:, slot].conj()[:, :, None])[:, :, 0]      # <dR_slot, dR_j> for every j
+        G[:, slot], G[:, :, slot] = row, row.conj()
         x, fx, r, res = cand, fc, rc, res_c
         k += 1
+    return np.ascontiguousarray(x_out.T), res_out, iters_out
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +433,13 @@ def solve_e0(profile: WeightProfile, z, cfg: SolverConfig | None = None,
 def solve_grid(profile: WeightProfile, grid: ZGrid, cfg: SolverConfig | None = None):
     """Solve every grid point, each at its own z, as one cold-started block.
 
-    Each point iterates, freezes and is certified exactly as solve_e0 would
+    Each point follows solve_e0's rule and is certified as solve_e0 would
     do it alone; unconverged points are recorded in place, never raised.
+    A converged point agrees with solve_e0 to rounding.  An unconverged
+    point may not: BLAS rounds the block-wide products differently from
+    a single column's, and far from the fixed point the map and the
+    Anderson step amplify that (G differs by 9e-11 on rand_profile at
+    3.5 + 0.01i with max_iter=15, residual 0.06).
     """
     return _solve(profile, list(grid), cfg or SolverConfig())
 

@@ -90,33 +90,58 @@ def edge_refined_grid(lo: float, hi: float, n_uniform: int = 141,
 
 
 @dataclass(frozen=True)
-class DensityDiagnostics:
-    """Solver quality over the inversion sweep (worst case over every point and eta level)."""
+class LevelDiagnostics:
+    """Solver record of one eta level of an inversion sweep."""
 
+    eta: float
+    unconverged: int        # points not certified at this level
     residual_max: float
     rho_max: float
-    iterations_total: int
+    defect_max: float       # worst imaginary-part identity defect
+    iterations: int         # map applications, summed over the points
+
+
+@dataclass(frozen=True)
+class DensityDiagnostics:
+    """Solver quality over the inversion sweep: one record per eta level.
+
+    residual_max, rho_max and iterations_total are over every point and
+    level; unconverged lists the abscissae the curve leaves out.
+    """
+
+    levels: tuple
     unconverged: tuple = field(default_factory=tuple)
+
+    @property
+    def residual_max(self) -> float:
+        return max(lv.residual_max for lv in self.levels)
+
+    @property
+    def rho_max(self) -> float:
+        return max(lv.rho_max for lv in self.levels)
+
+    @property
+    def iterations_total(self) -> int:
+        return sum(lv.iterations for lv in self.levels)
 
 
 def _sweep(profile: WeightProfile, xs: np.ndarray, etas: tuple, scfg: SolverConfig):
     """Solve and certify every x + i eta, each level warm-started from the one above.
 
-    Returns Im G and the certified mask, both (levels, points), the total
-    map applications, the worst residual and the worst rho(C0).
+    Returns Im G and the certified mask, both (levels, points), and one
+    LevelDiagnostics per level.
     """
-    im, ok = [], []
+    im, ok, levels = [], [], []
     e_red = None
-    iters_total, residual_max, rho_max = 0, 0.0, 0.0
     for eta in etas:
         e_red, res, iters = solve_batch(profile, xs, eta, scfg, warm=e_red)
-        rho, _, _ = batch_certificate(profile, e_red, xs, eta)
-        iters_total += int(iters.sum())
+        rho, defect, _ = batch_certificate(profile, e_red, xs, eta)
         im.append(batch_G(profile, e_red, xs, eta).imag)
         ok.append(certified(res, rho, scfg.tol))
-        residual_max = max(residual_max, float(res.max()))
-        rho_max = max(rho_max, float(rho.max()))
-    return np.array(im), np.array(ok), iters_total, residual_max, rho_max
+        levels.append(LevelDiagnostics(
+            eta=eta, unconverged=int(np.count_nonzero(~ok[-1])), residual_max=float(res.max()),
+            rho_max=float(rho.max()), defect_max=float(defect.max()), iterations=int(iters.sum())))
+    return np.array(im), np.array(ok), tuple(levels)
 
 
 def density_curve(profile: WeightProfile, cfg: InversionConfig,
@@ -134,7 +159,7 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
     xs = cfg.x_grid
     etas = cfg.eta_sequence
     used = min(len(etas), 2)
-    im, ok, iters_total, residual_max, rho_max = _sweep(profile, xs, etas, scfg)
+    im, ok, levels = _sweep(profile, xs, etas, scfg)
     good = ok[-used:].all(axis=0)
     failed = tuple(float(x) for x in xs[~good])
     xs_ok = xs[good]
@@ -158,8 +183,7 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
     curve = DensityCurve(xs=xs_ok, density=density, cdf=cdf,
                          eta_used=etas, atom_at_zero=atom, failed_xs=failed)
     if with_diagnostics:
-        diag = DensityDiagnostics(residual_max=residual_max, rho_max=rho_max,
-                                  iterations_total=iters_total, unconverged=failed)
+        diag = DensityDiagnostics(levels=levels, unconverged=failed)
         return curve, diag
     return curve
 
@@ -193,7 +217,7 @@ def cdf_interval(profile: WeightProfile, a: float, b: float, eta,
     half = np.diff(edges)[:, None] / 2.0
     xs = (edges[:-1, None] + half + half * _GAUSS_X).ravel()
 
-    im, ok, *_ = _sweep(profile, xs, etas, solver_cfg or SolverConfig())
+    im, ok, _ = _sweep(profile, xs, etas, solver_cfg or SolverConfig())
     failed = np.count_nonzero(~ok[-used:].all(axis=0))
     if failed:
         raise QuadratureStallError(f"{failed} of {len(xs)} quadrature nodes did not converge")

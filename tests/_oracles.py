@@ -1,11 +1,12 @@
 """Independent oracles used to freeze expected test values.
 
 Everything here is implemented from scratch against closed forms or brute
-force, never by calling the code under test.  The two exceptions are former
+force, never by calling the code under test.  The exceptions are former
 implementations kept as references for their faster rewrites: the rescan
-planner, which shares only the TruncationPlan container, and the adaptive
+planner, which shares only the TruncationPlan container; the adaptive
 quadrature of interval masses, which calls the scalar solver where the
-rewrite runs batched sweeps.
+rewrite runs batched sweeps; and the column-major Anderson kernel, which
+shares the reduced map and the mixing constants with its rewrite.
 """
 
 import itertools
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
-from hadspec.fixed_point import SolverConfig, solve_e0
+from hadspec.fixed_point import _DEPTH, _REG, SolverConfig, _map, solve_e0
 from hadspec.stieltjes import QuadratureStallError
 from hadspec.tightness import TruncationPlan
 
@@ -250,6 +251,75 @@ def cdf_interval_quad(profile, a: float, b: float, eta,
         except integrate.IntegrationWarning as exc:
             raise QuadratureStallError(str(exc)) from exc
     return float(value)
+
+
+# -- Anderson kernel with mask compaction and a full Gram matrix per step ----
+
+def anderson_reference(red, c, e, zs, cfg: SolverConfig):
+    """Reference Anderson kernel: hadspec.fixed_point._anderson before its
+    points-major rewrite.  The rewrite must give the same per-column
+    iteration counts and G to rounding.
+
+    Type-II Anderson mixing of the reduced map, each column at its own z.
+
+    Column p keeps the last _DEPTH differences dR of its residual
+    r = T(e) - e and dT of its map value T(e); gamma_p minimises
+    |r - dR gamma| (normal equations, regularised by 1e-14 trace) and the
+    next iterate is T(e) - dT gamma (Walker and Ni, SINUM 2011).  A
+    candidate with a component outside C+ is replaced by the plain step
+    T(e), which lies in C+ (the averaged step of Helton, Rashidi Far and
+    Speicher, IMRN 2007, at weight 1), and its column's history is reset.
+    A column freezes once its residual max|T(e) - e| reaches tol or it has
+    used max_iter map applications, and it ends on its best iterate.
+    Working arrays shrink to the running columns when some freeze; history
+    memory is O(_DEPTH x unique columns x P).  Overwrites e; returns
+    (e, residuals, map applications per column).
+    """
+    P = e.shape[1]
+    res_out, iters_out = np.empty(P), np.empty(P, dtype=int)
+    live, zl, x = np.arange(P), zs, e
+    fx = _map(red, c, x, zl)
+    r = fx - x
+    res = abs(r).max(axis=0)
+    dR = np.zeros((_DEPTH,) + x.shape, dtype=complex)
+    dT = np.zeros_like(dR)
+    best_x, best_res = np.empty_like(x), np.full(P, np.inf)
+    diag = (slice(None),) + np.diag_indices(_DEPTH)
+    k = 1                                   # map applications of every running column
+    while True:
+        done = res <= cfg.tol if k < cfg.max_iter else np.ones(len(live), dtype=bool)
+        if done.any():
+            cols, use = live[done], best_res[done] < res[done]
+            e[:, cols] = np.where(use, best_x[:, done], x[:, done])
+            res_out[cols] = np.where(use, best_res[done], res[done])
+            iters_out[cols] = k
+            if done.all():
+                return e, res_out, iters_out
+            run = ~done
+            live, zl, x, fx, r, res = live[run], zl[run], x[:, run], fx[:, run], r[:, run], res[run]
+            dR, dT, best_x, best_res = dR[:, :, run], dT[:, :, run], best_x[:, run], best_res[run]
+        # empty history slots have a zero diagonal: unit weight there pins gamma to 0
+        dRc = dR.conj()
+        gram = np.einsum("inp,jnp->pij", dRc, dR)
+        d = gram[diag].real
+        gram[diag] += np.where(d > 0, _REG * d.sum(axis=1, keepdims=True), 1.0)
+        gamma = np.linalg.solve(gram, np.einsum("inp,np->pi", dRc, r)[..., None])[..., 0]
+        cand = fx - np.einsum("inp,pi->np", dT, gamma)
+        bad = ~(cand.imag > 0).all(axis=0)
+        if bad.any():
+            cand[:, bad] = fx[:, bad]
+            dR[:, :, bad] = dT[:, :, bad] = 0.0
+        fc = _map(red, c, cand, zl)
+        rc = fc - cand
+        res_c = abs(rc).max(axis=0)
+        # the iterate before a residual increase may be its column's best
+        keep = (res_c > res) & (res < best_res)
+        if keep.any():
+            best_x[:, keep], best_res[keep] = x[:, keep], res[keep]
+        slot = k % _DEPTH
+        dR[slot], dT[slot] = rc - r, fc - fx
+        x, fx, r, res = cand, fc, rc, res_c
+        k += 1
 
 
 # -- direct test-function metric (independent scratch implementation) ---------

@@ -14,11 +14,15 @@ from hadspec import (
     solve_grid,
     validate_profile,
 )
+import hadspec.fixed_point as fp
+from hadspec.experiments import make_profile
+from hadspec.stieltjes import _GAUSS_X
 from hadspec.fixed_point import (
     NonpositiveImaginaryInputError,
     _certify,
     _denominators,
     _expand,
+    _hermitian_solve,
     _map,
     batch_certificate,
     batch_G,
@@ -27,7 +31,7 @@ from hadspec.fixed_point import (
     spectral_radius_nonneg,
 )
 
-from _oracles import mp_stieltjes_root
+from _oracles import anderson_reference, mp_stieltjes_root
 
 
 def random_upper(rng, N, scale=1.0):
@@ -456,12 +460,168 @@ class TestSolveBatch:
             e = _expand(profile.reduced, e_red[:, k])
             assert np.max(np.abs(iterate_e(profile, e, complex(x, v)) - e)) <= 10 * cfg.tol
 
+    def test_empty_line(self, repeated_profile):
+        e_red, res, iters = solve_batch(repeated_profile, [], 0.1)
+        assert e_red.shape == (3, 0) and res.shape == iters.shape == (0,)
+
     def test_max_iter_flagged_not_raised(self, rand_profile):
         cfg = SolverConfig(tol=1e-15, max_iter=3)
         e_red, res, iters = solve_batch(rand_profile, np.linspace(0.2, 3.0, 5), 0.05, cfg)
         assert np.all(res > cfg.tol)
         assert np.all(iters == 3)
         assert np.all(e_red.imag > 0)
+
+
+def _gauss_nodes(a, b, width):
+    # the nodes of cdf_interval's 8-point Gauss-Legendre panels on [a, b]
+    edges = np.linspace(a, b, int(np.ceil((b - a) / width)) + 1)
+    half = np.diff(edges)[:, None] / 2.0
+    return (edges[:-1, None] + half + half * _GAUSS_X).ravel()
+
+
+KERNEL_GRIDS = {
+    "rand_profile": lambda request: (request.getfixturevalue("rand_profile"),
+                                     np.linspace(-0.5, 4.0, 37)),
+    "repeated_profile": lambda request: (request.getfixturevalue("repeated_profile"),
+                                         np.linspace(-0.5, 5.0, 23)),
+    "iid_8x8_gauss": lambda request: (make_profile("iid_uniform:0,2", 8, 8, seed=5),
+                                      _gauss_nodes(0.5, 1.5, 1e-2)),
+}
+
+
+class TestAndersonKernel:
+    """The points-major kernel against the column-major reference it replaced."""
+
+    ETAS = (1e-2, 5e-3, 2.5e-3)
+
+    @staticmethod
+    def _sweep(profile, xs, etas):
+        e, out = None, []
+        for eta in etas:
+            e, res, iters = solve_batch(profile, xs, eta, warm=e)
+            out.append((batch_G(profile, e, xs, eta), res, iters))
+        return out
+
+    def _both(self, profile, xs, monkeypatch):
+        new = self._sweep(profile, xs, self.ETAS)
+        monkeypatch.setattr(fp, "_anderson", anderson_reference)
+        return zip(new, self._sweep(profile, xs, self.ETAS))
+
+    @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
+    def test_matches_reference_kernel(self, name, request, monkeypatch):
+        profile, xs = KERNEL_GRIDS[name](request)
+        for (g, res, iters), (g_ref, res_ref, iters_ref) in self._both(profile, xs, monkeypatch):
+            assert np.all(res <= 1e-12) and np.all(res_ref <= 1e-12)
+            assert np.array_equal(iters, iters_ref)
+            assert np.max(np.abs(g - g_ref)) <= 1e-13
+
+    def test_one_unique_column_matches_reference_to_tolerance(self, monkeypatch):
+        # with fewer unique columns than history slots the Gram matrix is
+        # singular but for the 1e-14 trace ridge (condition ~1e14), so gamma's
+        # null-space part is rounding noise that Cholesky and LU draw
+        # differently.  Both kernels converge everywhere, a few points take
+        # one map application more or fewer, and G agrees to 10 tol
+        profile = make_profile("block:0.5,1.5", 24, 36)
+        assert profile.reduced.d2.shape == (2, 1)
+        xs = np.linspace(-0.5, 3.5, 41)
+        for (g, res, iters), (g_ref, res_ref, iters_ref) in self._both(profile, xs, monkeypatch):
+            assert np.all(res <= 1e-12) and np.all(res_ref <= 1e-12)
+            assert np.abs(iters - iters_ref).max() <= 1
+            assert np.count_nonzero(iters != iters_ref) <= 2
+            assert np.max(np.abs(g - g_ref)) <= 10 * 1e-12
+
+    def test_column_order_does_not_matter(self, rand_profile):
+        # freezing columns swap slots, which must not couple them
+        rng = np.random.default_rng(4)
+        xs = np.linspace(-0.5, 4.0, 41)
+        perm = rng.permutation(len(xs))
+        for v in (0.5, 1e-2):
+            e, res, iters = solve_batch(rand_profile, xs, v)
+            e_p, res_p, iters_p = solve_batch(rand_profile, xs[perm], v)
+            assert np.all(res <= 1e-12) and np.all(res_p <= 1e-12)
+            assert np.array_equal(iters_p, iters[perm])
+            g, g_p = batch_G(rand_profile, e, xs, v), batch_G(rand_profile, e_p, xs[perm], v)
+            assert np.max(np.abs(g_p - g[perm])) <= 10 * 1e-12
+
+    def test_failed_pivot_takes_plain_step_and_clears_history(self, rand_profile, monkeypatch):
+        # a negative regularisation makes every stored slot a negative pivot:
+        # each mixed candidate is NaN, so every step is the plain map step
+        # and the history never holds more than the slot just written
+        grams = []
+
+        def recording_solve(a, b):
+            grams.append(a.copy())
+            return _hermitian_solve(a, b)
+
+        monkeypatch.setattr(fp, "_REG", -2.0)
+        monkeypatch.setattr(fp, "_hermitian_solve", recording_solve)
+        xs, v, steps = np.array([0.3, 1.1, 2.5]), 1.0, 6
+        e_red, res, iters = solve_batch(rand_profile, xs, v, SolverConfig(tol=1e-15, max_iter=steps))
+        assert np.all(iters == steps) and np.all(res > 1e-15)
+        zs = xs + 1j * v
+        e = fp._cold_start(rand_profile, np.full(len(xs), v))
+        for _ in range(steps - 1):
+            e = _map(rand_profile.reduced, rand_profile.c, e, zs)
+        assert np.max(np.abs(e_red - e)) <= 1e-15 * np.max(np.abs(e))
+        assert len(grams) == steps - 1
+        for a in grams:
+            filled = np.diagonal(a, axis1=1, axis2=2).real != 1.0
+            assert np.all(filled.sum(axis=1) <= 1)
+
+
+def _regularised_gram(dR):
+    # the kernel's normal equations: Gram matrix, 1e-14 trace ridge, unit empty slots
+    gram = np.einsum("pin,pjn->pij", dR.conj(), dR)
+    d = np.diagonal(gram, axis1=1, axis2=2).real
+    idx = np.arange(dR.shape[1])
+    gram[:, idx, idx] += np.where(d > 0, 1e-14 * d.sum(axis=1, keepdims=True), 1.0)
+    return gram
+
+
+class TestHermitianSolve:
+    def _stack(self, rng, P=64, m=3, n=20):
+        return rng.standard_normal((P, m, n)) + 1j * rng.standard_normal((P, m, n))
+
+    def test_matches_linalg_solve(self):
+        rng = np.random.default_rng(1)
+        for m in (1, 2, 3, 5):
+            dR = self._stack(rng, m=m)
+            dR[:8, m - 1] = 0.0                       # empty slots: unit diagonal
+            dR[8:12] = 0.0                            # a cleared history
+            a = _regularised_gram(dR)
+            b = rng.standard_normal((64, m)) + 1j * rng.standard_normal((64, m))
+            b[:8, m - 1] = b[8:12] = 0.0
+            x = _hermitian_solve(a, b)
+            ref = np.linalg.solve(a, b[..., None])[..., 0]
+            assert np.allclose(x, ref, rtol=1e-12, atol=1e-14)
+            assert np.all(x[:8, m - 1] == 0.0) and np.all(x[8:12] == 0.0)
+
+    def test_near_singular_gram(self):
+        # two slots equal to 1e-10: only the ridge keeps the Gram matrix
+        # definite (condition ~1e14), so gamma itself is ill-determined but
+        # the fitted residual dR gamma is not
+        rng = np.random.default_rng(2)
+        dR = self._stack(rng)
+        dR[:, 2] = dR[:, 1] * (1 + 1e-10 * rng.standard_normal((64, 1)))
+        a = _regularised_gram(dR)
+        r = self._stack(rng, m=1)[:, 0]
+        b = np.einsum("pin,pn->pi", dR.conj(), r)
+        x = _hermitian_solve(a, b)
+        ref = np.linalg.solve(a, b[..., None])[..., 0]
+        assert np.all(np.isfinite(x))
+        assert np.max(np.abs(np.einsum("pi,pin->pn", x - ref, dR))) <= 1e-12 * np.abs(r).max()
+        backward = np.abs(np.einsum("pij,pj->pi", a, x) - b).max(axis=1)
+        assert np.all(backward <= 1e-14 * np.abs(a).max(axis=(1, 2)) * np.abs(x).max(axis=1))
+
+    def test_bad_pivot_gives_nan_row_without_warning(self):
+        a = np.tile(np.eye(3, dtype=complex), (4, 1, 1))
+        a[1, 1, 1] = -1.0                             # negative pivot
+        a[2, 2, 2] = np.nan                           # NaN pivot
+        a[3, 1, 0] = a[3, 0, 1] = 1.0                 # singular: second pivot is 0
+        b = np.tile(np.array([1.0, 2.0, 3.0], dtype=complex), (4, 1))
+        x = _hermitian_solve(a, b)
+        assert np.array_equal(x[0], b[0])
+        assert np.all(np.isnan(x[1:]))
 
 
 class TestSolverConfig:

@@ -57,6 +57,23 @@ class TestDensityCurve:
         assert diag.residual_max <= 1e-12
         assert diag.rho_max < 1.0
 
+    def test_per_level_diagnostics(self, rand_profile):
+        cfg = InversionConfig(x_grid=np.linspace(-0.5, 4.0, 31))
+        curve, diag = density_curve(rand_profile, cfg, with_diagnostics=True)
+        assert tuple(lv.eta for lv in diag.levels) == cfg.eta_sequence
+        assert sum(lv.iterations for lv in diag.levels) == diag.iterations_total
+        assert diag.rho_max == max(lv.rho_max for lv in diag.levels) < 1.0
+        assert diag.residual_max == max(lv.residual_max for lv in diag.levels) <= 1e-12
+        assert all(lv.unconverged == 0 and 0 <= lv.defect_max <= 1e-10 for lv in diag.levels)
+        # the same input gives the same records
+        assert density_curve(rand_profile, cfg, with_diagnostics=True)[1] == diag
+        # a short budget: counted per level, and the curve's gaps are the
+        # points uncertified at either of its two finest levels
+        _, short = density_curve(rand_profile, cfg, SolverConfig(max_iter=8), with_diagnostics=True)
+        counts = [lv.unconverged for lv in short.levels]
+        assert counts[0] == 31 and 0 < counts[2] < counts[1] == len(short.unconverged)
+        assert short.levels[0].iterations == 31 * 8
+
     def test_scale_equivariance(self, rand_profile):
         # rescaling weights by s maps x -> s^2 x, eta -> s^2 eta exactly
         grid1 = edge_refined_grid(-0.3, 8.0, n_uniform=161)
