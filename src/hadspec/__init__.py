@@ -42,7 +42,7 @@ from .random_spectra import (
     sample_matrix,
     truncate_center_rescale,
 )
-from .metrics import TestFunctionIndex, d_metric, integrate_test_function, ks_distance, wasserstein_sq_bound
+from .metrics import TestFunctionIndex, d_metric, ks_distance
 from .tightness import TruncationPlan, plan_truncation, truncate_profile
 from .experiments import ComparisonReport, ExperimentSpec, make_profile, run_experiment
 

@@ -102,10 +102,11 @@ class WeightProfile:
         Columns with identical weights carry identical e0 components (the
         fixed point is unique and invariant under the induced permutation
         symmetry), so iteration can run on the reduced system exactly.
+        Unique rows and columns come in ascending lexicographic order.
         """
-        d2 = self.squared
-        rows, row_mult = np.unique(d2, axis=0, return_counts=True)
-        cols, col_inverse, col_mult = _unique_columns(rows)
+        rows, _, row_mult = _unique_rows(self.squared)
+        cols, col_inverse, col_mult = _unique_rows(rows.T)
+        cols = cols.T
         row_mult, col_mult = row_mult.astype(float), col_mult.astype(float)
         return ReducedProfile(
             d2=_readonly(cols),
@@ -150,9 +151,26 @@ class ReducedProfile:
     outer: np.ndarray         # (nc, nr) (d2 * row_mult).T / n
 
 
-def _unique_columns(a: np.ndarray):
-    cols, inverse, counts = np.unique(a.T, axis=0, return_inverse=True, return_counts=True)
-    return cols.T, inverse.reshape(-1), counts
+def _unique_rows(a: np.ndarray):
+    """np.unique(a, axis=0, return_inverse=True, return_counts=True) for a >= 0.
+
+    Without np.unique's structured sort: when the first column already
+    separates the rows, a stable argsort of it gives their lexicographic
+    order.  Otherwise the rows are sorted once as opaque byte strings of
+    their big-endian values, whose byte order is the numeric order for
+    nonnegative doubles (a squared profile holds no -0.0 and no NaN).
+    """
+    order = np.argsort(a[:, 0], kind="stable")
+    first = a[order, 0]
+    if (first[1:] > first[:-1]).all():
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(len(order))
+        return a[order], inverse, np.ones(len(order), dtype=np.intp)
+    key = np.ascontiguousarray(a, dtype=">f8")
+    key = key.view(np.dtype((np.void, key.strides[0])))[:, 0]
+    _, index, inverse, counts = np.unique(key, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    return a[index], inverse, counts
 
 
 def validate_profile(entries) -> WeightProfile:

@@ -11,14 +11,16 @@ Identical rows and columns of the variance profile carry identical
 denominators and solution components, so every solve runs on the
 deduplicated (reduced) system and expands afterwards; results are identical
 up to floating-point grouping.  One kernel, ``_anderson``, iterates the
-reduced map on a block of P points, each at its own z, with depth-3 type-II
-Anderson mixing (Walker and Ni, SINUM 2011) batched over the block.  Near
-the real axis the plain map contracts at rate rho(C0) ~ 1 - O(Im z) and
-needs about 1/(1 - rho) applications; Anderson mixing needs tens, so one
-iteration budget serves every height.  A mixed candidate that leaves C+
+reduced map on a block of P points, each at its own z, with type-II
+Anderson mixing (Walker and Ni, SINUM 2011) batched over the block, of
+depth 3 or the number of unique columns if that is smaller (a deeper
+history of differences in C^nc is rank-deficient).  Near the real axis
+the plain map contracts at rate rho(C0) ~ 1 - O(Im z) and needs about
+1/(1 - rho) applications; Anderson mixing needs tens, so one iteration
+budget serves every height.  A mixed candidate that leaves C+
 falls back to the plain map step, which never does (the averaged iteration
 of Helton, Rashidi Far and Speicher, IMRN 2007, at weight 1).  The kernel's
-state is points-major: each point's history of _DEPTH differences is
+state is points-major: each point's history of differences is
 contiguous, its Gram matrix is updated by one row per step, and the
 normal equations of all points are solved at once by an unrolled Cholesky
 factorisation (``_hermitian_solve``).  One matrix-free
@@ -42,7 +44,9 @@ import numpy as np
 
 from .core import FixedPointSolution, SpectralPoint, WeightProfile, ZGrid
 
-_DEPTH = 3          # Anderson history length m; 5 and 8 cost more per step than they save
+# Anderson history length, capped at the number of unique profile columns;
+# 5 and 8 cost more per step than they save
+_DEPTH = 3
 _REG = 1e-14        # normal-equation regularisation, relative to the trace
 _POWER_TOL = 1e-12
 _POWER_CAP = 50_000
@@ -214,19 +218,21 @@ def _hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _anderson(red, c, e, zs, cfg: SolverConfig):
     """Type-II Anderson mixing of the reduced map, each column at its own z.
 
-    Column p keeps the last _DEPTH differences dR of its residual
-    r = T(e) - e and dT of its map value T(e); gamma_p minimises
-    |r - dR gamma| (normal equations, regularised by 1e-14 trace) and the
-    next iterate is T(e) - dT gamma (Walker and Ni, SINUM 2011).  A
-    candidate with a component outside C+ (or NaN, as from a failed
-    Cholesky pivot) is replaced by the plain step T(e), which lies in C+
-    (the averaged step of Helton, Rashidi Far and Speicher, IMRN 2007, at
-    weight 1), and its column's history is reset.  A column freezes once
-    its residual max|T(e) - e| reaches tol or it has used max_iter map
-    applications, and it ends on its best iterate.
+    Column p keeps the last m = min(_DEPTH, nc) differences dR of its
+    residual r = T(e) - e and dT of its map value T(e), nc the number of
+    unique profile columns (more than nc differences in C^nc are linearly
+    dependent, and their Gram matrix would be singular but for the ridge);
+    gamma_p minimises |r - dR gamma| (normal equations, regularised by
+    1e-14 trace) and the next iterate is T(e) - dT gamma (Walker and Ni,
+    SINUM 2011).  A candidate with a component outside C+ (or NaN, as from
+    a failed Cholesky pivot) is replaced by the plain step T(e), which lies
+    in C+ (the averaged step of Helton, Rashidi Far and Speicher, IMRN
+    2007, at weight 1), and its column's history is reset.  A column
+    freezes once its residual max|T(e) - e| reaches tol or it has used
+    max_iter map applications, and it ends on its best iterate.
 
-    State is points-major: iterates (P, nc), history (P, _DEPTH, nc) and
-    a Gram matrix (P, _DEPTH, _DEPTH) kept across steps, of which each step
+    State is points-major: iterates (P, nc), history (P, m, nc) and a
+    Gram matrix (P, m, m) kept across steps, of which each step
     recomputes only the row of the slot it overwrites; the normal equations
     are solved by _hermitian_solve.  Running columns occupy the first n
     slots: a freezing column's slot is refilled by a trailing running
@@ -240,11 +246,12 @@ def _anderson(red, c, e, zs, cfg: SolverConfig):
     fx = _map_points(red, c, x, z)
     r = fx - x
     res = abs(r).max(axis=1)
-    dR = np.zeros((P, _DEPTH, x.shape[1]), dtype=complex)
+    depth = min(_DEPTH, x.shape[1])
+    dR = np.zeros((P, depth, x.shape[1]), dtype=complex)
     dT = np.zeros_like(dR)
-    gram = np.zeros((P, _DEPTH, _DEPTH), dtype=complex)
+    gram = np.zeros((P, depth, depth), dtype=complex)
     best_x, best_res = np.empty_like(x), np.full(P, np.inf)
-    diag = (slice(None),) + np.diag_indices(_DEPTH)
+    diag = (slice(None),) + np.diag_indices(depth)
     n, k = P, 1                             # running columns; map applications of each
     while n:
         done = res <= cfg.tol if k < cfg.max_iter else np.ones(n, dtype=bool)
@@ -279,7 +286,7 @@ def _anderson(red, c, e, zs, cfg: SolverConfig):
         keep = (res_c > res) & (res < best_res[:n])
         if keep.any():
             best_x[:n][keep], best_res[:n][keep] = x[keep], res[keep]
-        slot = k % _DEPTH
+        slot = k % depth
         np.subtract(rc, r, out=H[:, slot])
         np.subtract(fc, fx, out=T[:, slot])
         row = (H @ H[:, slot].conj()[:, :, None])[:, :, 0]      # <dR_slot, dR_j> for every j

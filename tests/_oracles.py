@@ -5,8 +5,10 @@ force, never by calling the code under test.  The exceptions are former
 implementations kept as references for their faster rewrites: the rescan
 planner, which shares only the TruncationPlan container; the adaptive
 quadrature of interval masses, which calls the scalar solver where the
-rewrite runs batched sweeps; and the column-major Anderson kernel, which
-shares the reduced map and the mixing constants with its rewrite.
+rewrite runs batched sweeps; the column-major Anderson kernel, which
+shares the reduced map and the mixing constants with its rewrite; the
+np.unique-based construction of ReducedProfile; and the per-function
+integral of a test function, which calls TestFunctionIndex.
 """
 
 import itertools
@@ -17,7 +19,9 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
+from hadspec.core import DensityCurve, EmpiricalDistribution, ReducedProfile
 from hadspec.fixed_point import _DEPTH, _REG, SolverConfig, _map, solve_e0
+from hadspec.metrics import TestFunctionIndex
 from hadspec.stieltjes import QuadratureStallError
 from hadspec.tightness import TruncationPlan
 
@@ -272,19 +276,21 @@ def anderson_reference(red, c, e, zs, cfg: SolverConfig):
     A column freezes once its residual max|T(e) - e| reaches tol or it has
     used max_iter map applications, and it ends on its best iterate.
     Working arrays shrink to the running columns when some freeze; history
-    memory is O(_DEPTH x unique columns x P).  Overwrites e; returns
-    (e, residuals, map applications per column).
+    memory is O(depth x unique columns x P), the depth min(_DEPTH, unique
+    columns) as in the rewrite.  Overwrites e; returns (e, residuals, map
+    applications per column).
     """
     P = e.shape[1]
+    depth = min(_DEPTH, e.shape[0])
     res_out, iters_out = np.empty(P), np.empty(P, dtype=int)
     live, zl, x = np.arange(P), zs, e
     fx = _map(red, c, x, zl)
     r = fx - x
     res = abs(r).max(axis=0)
-    dR = np.zeros((_DEPTH,) + x.shape, dtype=complex)
+    dR = np.zeros((depth,) + x.shape, dtype=complex)
     dT = np.zeros_like(dR)
     best_x, best_res = np.empty_like(x), np.full(P, np.inf)
-    diag = (slice(None),) + np.diag_indices(_DEPTH)
+    diag = (slice(None),) + np.diag_indices(depth)
     k = 1                                   # map applications of every running column
     while True:
         done = res <= cfg.tol if k < cfg.max_iter else np.ones(len(live), dtype=bool)
@@ -316,10 +322,48 @@ def anderson_reference(red, c, e, zs, cfg: SolverConfig):
         keep = (res_c > res) & (res < best_res)
         if keep.any():
             best_x[:, keep], best_res[keep] = x[:, keep], res[keep]
-        slot = k % _DEPTH
+        slot = k % depth
         dR[slot], dT[slot] = rc - r, fc - fx
         x, fx, r, res = cand, fc, rc, res_c
         k += 1
+
+
+# -- ReducedProfile through np.unique's structured sort -----------------------
+
+def reduced_profile_reference(profile) -> ReducedProfile:
+    """WeightProfile.reduced as built by np.unique(axis=0) on rows, then columns."""
+    rows, row_mult = np.unique(profile.squared, axis=0, return_counts=True)
+    cols, col_inverse, col_mult = np.unique(rows.T, axis=0, return_inverse=True,
+                                            return_counts=True)
+    cols, col_inverse = cols.T, col_inverse.reshape(-1)
+    row_mult, col_mult = row_mult.astype(float), col_mult.astype(float)
+    return ReducedProfile(
+        d2=np.ascontiguousarray(cols), row_mult=row_mult, col_mult=col_mult,
+        col_inverse=col_inverse, inner=np.ascontiguousarray(cols * col_mult / profile.N),
+        outer=np.ascontiguousarray((cols * row_mult[:, None]).T / profile.n))
+
+
+# -- test-function integrals, one function at a time ---------------------------
+
+def integrate_test_function(F, tf) -> float:
+    """int f dF: exact atom sum for empirical F, trapezoid for a curve."""
+    if isinstance(F, EmpiricalDistribution):
+        return float(np.mean(tf(F.atoms)))
+    if isinstance(F, DensityCurve):
+        val = float(np.trapezoid(tf(F.xs) * F.density, F.xs))
+        if F.atom_at_zero:
+            val += F.atom_at_zero * float(tf(0.0))
+        return val
+    raise TypeError(f"cannot integrate against {type(F).__name__}")
+
+
+def d_metric_reference(F, G, i_max: int) -> float:
+    """The truncated metric as a per-function loop over integrate_test_function."""
+    total = 0.0
+    for i in range(1, i_max + 1):
+        tf = TestFunctionIndex.from_index(i)
+        total += abs(integrate_test_function(F, tf) - integrate_test_function(G, tf)) * 2.0 ** (-i)
+    return total
 
 
 # -- direct test-function metric (independent scratch implementation) ---------

@@ -24,3 +24,10 @@ def rand_profiles_50x100():
         rng = np.random.default_rng(1000 + k)
         out.append(validate_profile(rng.uniform(0.0, 2.0, (50, 100))))
     return out
+
+
+@pytest.fixture(scope="session")
+def repeated_profile():
+    """Block profile whose 6 rows and 9 columns collapse to 3 x 3 unique ones."""
+    base = np.array([[0.5, 1.5, 1.0], [2.0, 0.3, 1.0], [1.0, 1.0, 0.2]])
+    return validate_profile(np.repeat(np.repeat(base, [2, 1, 3], axis=0), [3, 2, 4], axis=1))

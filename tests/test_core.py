@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -17,9 +18,38 @@ from hadspec import (
     ZGrid,
     validate_profile,
 )
-from hadspec.core import NonFiniteEntryError
+from hadspec.core import NonFiniteEntryError, ReducedProfile
+from hadspec.experiments import make_profile
 
 import hadspec
+
+from _oracles import reduced_profile_reference
+
+
+def _tied_first_column(request):
+    # rows tie on the first column and are told apart by later ones
+    entries = make_profile("iid_uniform:0,2", 40, 30, seed=2).entries.copy()
+    entries[:, 0] = 1.0
+    entries[::2, 1] = 0.5
+    return validate_profile(entries)
+
+
+def _integers_with_zeros(request):
+    entries = np.random.default_rng(6).integers(0, 3, (30, 40)).astype(float)
+    entries[0] = 1.0                                     # no zero column
+    return validate_profile(entries)
+
+
+REDUCED_CASES = {
+    "iid": lambda request: make_profile("iid_uniform:0,2", 40, 60, seed=1),
+    "iid_tied_first_column": _tied_first_column,
+    "block": lambda request: make_profile("block:0.5,1.5", 24, 36),
+    "constant": lambda request: make_profile("constant:30", 6, 10),
+    "integers_with_zeros": _integers_with_zeros,
+    "repeated_profile": lambda request: request.getfixturevalue("repeated_profile"),
+    "row": lambda request: make_profile("iid_uniform:0,2", 1, 12, seed=3),
+    "column": lambda request: make_profile("iid_uniform:0,2", 12, 1, seed=3),
+}
 
 
 def test_import_loads_no_scipy():
@@ -108,6 +138,15 @@ class TestWeightProfile:
         assert red.row_mult.sum() == 2
         # expansion indices cover every original column
         assert sorted(red.col_inverse.tolist()) in ([0, 0, 1], [0, 1, 1])
+
+    @pytest.mark.parametrize("name", list(REDUCED_CASES))
+    def test_reduced_matches_np_unique_construction(self, name, request):
+        profile = REDUCED_CASES[name](request)
+        red, ref = profile.reduced, reduced_profile_reference(profile)
+        for f in dataclasses.fields(ReducedProfile):
+            got, want = getattr(red, f.name), getattr(ref, f.name)
+            assert got.dtype == want.dtype, f.name
+            assert np.array_equal(got, want), f.name
 
 
 class TestSpectralPoint:

@@ -8,13 +8,18 @@ from hadspec import (
     EmpiricalDistribution,
     TestFunctionIndex,
     d_metric,
-    integrate_test_function,
     ks_distance,
-    wasserstein_sq_bound,
 )
 from hadspec.core import LengthMismatchError
+from hadspec.metrics import wasserstein_sq_bound
 
-from _oracles import scratch_d_metric_atoms, scratch_test_functions
+from _oracles import (
+    d_metric_reference,
+    integrate_test_function,
+    mp_density_c1,
+    scratch_d_metric_atoms,
+    scratch_test_functions,
+)
 
 
 def delta(x: float) -> EmpiricalDistribution:
@@ -135,6 +140,35 @@ class TestDMetric:
             G = EmpiricalDistribution(np.sort(rng.uniform(-2, 2, 4)))
             res = d_metric(F, G)
             assert res.value <= 2 * ks_distance(F, G) + res.tail_bound
+
+
+def _mp_curve(atom: float) -> DensityCurve:
+    # Marchenko-Pastur c = 1 density scaled to mass 1 - atom, plus an atom at 0
+    xs = np.concatenate([np.linspace(-0.5, 0.0, 11)[:-1], np.linspace(0.0, 4.5, 232)])
+    dens = (1.0 - atom) * np.array([mp_density_c1(x) if x > 0 else 0.0 for x in xs])
+    dens[xs == 0.0] = dens[xs > 0][0]
+    cdf = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (dens[1:] + dens[:-1]) / 2.0)])
+    return DensityCurve(xs=xs, density=dens, cdf=cdf + atom * (xs >= 0.0),
+                        eta_used=(1e-2,), atom_at_zero=atom)
+
+
+class TestDMetricMatchesPerFunctionLoop:
+    """d_metric's one-array evaluation against the per-function reference loop."""
+
+    @pytest.mark.parametrize("i_max", [1, 24, 40])
+    def test_bit_identical(self, i_max):
+        rng = np.random.default_rng(17)
+        F = EmpiricalDistribution.from_values(rng.uniform(-0.2, 4.2, 128))
+        G = EmpiricalDistribution.from_values(rng.uniform(0.0, 4.0, 176))
+        curve, curve_atom = _mp_curve(0.0), _mp_curve(0.3)
+        for A, B in [(F, G), (F, curve), (curve_atom, F), (curve, curve_atom), (G, G)]:
+            assert d_metric(A, B, i_max).value == d_metric_reference(A, B, i_max)
+
+    def test_unsupported_type_raises(self):
+        with pytest.raises(TypeError):
+            d_metric(delta(0.0), np.array([0.0, 1.0]))
+        with pytest.raises(TypeError):
+            d_metric([0.0, 1.0], delta(0.0))
 
 
 class TestKSDistance:

@@ -65,6 +65,7 @@ class TestDensityCurve:
         assert diag.rho_max == max(lv.rho_max for lv in diag.levels) < 1.0
         assert diag.residual_max == max(lv.residual_max for lv in diag.levels) <= 1e-12
         assert all(lv.unconverged == 0 and 0 <= lv.defect_max <= 1e-10 for lv in diag.levels)
+        assert all(lv.stalled == 0 for lv in diag.levels)
         # the same input gives the same records
         assert density_curve(rand_profile, cfg, with_diagnostics=True)[1] == diag
         # a short budget: counted per level, and the curve's gaps are the
@@ -73,6 +74,14 @@ class TestDensityCurve:
         counts = [lv.unconverged for lv in short.levels]
         assert counts[0] == 31 and 0 < counts[2] < counts[1] == len(short.unconverged)
         assert short.levels[0].iterations == 31 * 8
+
+    def test_per_level_diagnostics_count_stalls(self, rand_profile, monkeypatch):
+        # two power-iteration steps cannot settle rho(C0) at any point
+        import hadspec.fixed_point as fp
+        cfg = InversionConfig(x_grid=np.linspace(-0.5, 4.0, 31))
+        monkeypatch.setattr(fp, "_POWER_CAP", 2)
+        _, diag = density_curve(rand_profile, cfg, with_diagnostics=True)
+        assert [lv.stalled for lv in diag.levels] == [31, 31, 31]
 
     def test_scale_equivariance(self, rand_profile):
         # rescaling weights by s maps x -> s^2 x, eta -> s^2 eta exactly
@@ -106,19 +115,20 @@ class TestDensityCurve:
 
     def test_partial_curve_records_gaps(self, ones16):
         cfg = InversionConfig(x_grid=np.linspace(-1.0, 5.0, 25), eta_sequence=(0.5, 0.25))
-        curve = density_curve(ones16, cfg, SolverConfig(max_iter=10))
+        # an 8-step budget leaves 7 gaps; 9 steps already leave none
+        curve = density_curve(ones16, cfg, SolverConfig(max_iter=8))
         assert curve.partial
         assert len(curve.failed_xs) > 0
         assert len(curve.xs) + len(curve.failed_xs) == 25
 
     def test_partial_curve_books_no_atom(self):
-        # c = 1: no atom.  44 of 59 points fail under an 8-step budget; their
-        # lost mass (total 0.247 remains) must stay missing, not be booked as
+        # c = 1: no atom.  45 of 59 points fail under a 6-step budget; their
+        # lost mass (total 0.106 remains) must stay missing, not be booked as
         # an atom at zero
         ones = validate_profile(np.ones((16, 16)))
         grid = edge_refined_grid(-0.5, 4.5, n_uniform=41, n_edge=10)
-        curve = density_curve(ones, InversionConfig(x_grid=grid), SolverConfig(max_iter=8))
-        assert len(grid) == 59 and len(curve.failed_xs) == 44
+        curve = density_curve(ones, InversionConfig(x_grid=grid), SolverConfig(max_iter=6))
+        assert len(grid) == 59 and len(curve.failed_xs) == 45
         assert curve.partial
         assert curve.atom_at_zero == 0.0
         assert curve.total_mass < 0.5
@@ -132,6 +142,16 @@ class TestDensityCurve:
         curve, diag = density_curve(profile, cfg, with_diagnostics=True)
         assert not curve.partial
         assert diag.iterations_total < 20_000
+
+    def test_one_unique_column_column_iterations(self):
+        # block:0.5,1.5 collapses to one unique column: the Anderson history
+        # is capped at depth 1, where depth 3 spent 6 391 column-iterations
+        profile = make_profile("block:0.5,1.5", 128, 128)
+        assert profile.reduced.d2.shape[1] == 1
+        cfg = InversionConfig(x_grid=default_x_grid(profile))
+        curve, diag = density_curve(profile, cfg, with_diagnostics=True)
+        assert not curve.partial
+        assert diag.iterations_total < 5_800
 
     def test_large_weights_no_failed_points_no_atom(self):
         # constant:30 at c = 0.6 has no atom.  At the default etas its large
