@@ -154,18 +154,11 @@ class ReducedProfile:
 def _unique_rows(a: np.ndarray):
     """np.unique(a, axis=0, return_inverse=True, return_counts=True) for a >= 0.
 
-    Without np.unique's structured sort: when the first column already
-    separates the rows, a stable argsort of it gives their lexicographic
-    order.  Otherwise the rows are sorted once as opaque byte strings of
-    their big-endian values, whose byte order is the numeric order for
-    nonnegative doubles (a squared profile holds no -0.0 and no NaN).
+    Without np.unique's structured sort: the rows are sorted once as opaque
+    byte strings of their big-endian values, whose byte order is the
+    numeric order for nonnegative doubles (a squared profile holds no -0.0
+    and no NaN).
     """
-    order = np.argsort(a[:, 0], kind="stable")
-    first = a[order, 0]
-    if (first[1:] > first[:-1]).all():
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(len(order))
-        return a[order], inverse, np.ones(len(order), dtype=np.intp)
     key = np.ascontiguousarray(a, dtype=">f8")
     key = key.view(np.dtype((np.void, key.strides[0])))[:, 0]
     _, index, inverse, counts = np.unique(key, return_index=True, return_inverse=True,

@@ -472,6 +472,13 @@ def _gauss_nodes(a, b, width):
     return (edges[:-1, None] + half + half * _GAUSS_X).ravel()
 
 
+def _two_unique_columns():
+    base = np.array([[0.5, 1.5], [2.0, 0.3], [1.0, 1.2]])
+    profile = validate_profile(np.repeat(np.repeat(base, [2, 1, 3], axis=0), [4, 5], axis=1))
+    assert profile.reduced.d2.shape == (3, 2)
+    return profile
+
+
 KERNEL_GRIDS = {
     "rand_profile": lambda request: (request.getfixturevalue("rand_profile"),
                                      np.linspace(-0.5, 4.0, 37)),
@@ -479,6 +486,8 @@ KERNEL_GRIDS = {
                                          np.linspace(-0.5, 5.0, 23)),
     "iid_8x8_gauss": lambda request: (make_profile("iid_uniform:0,2", 8, 8, seed=5),
                                       _gauss_nodes(0.5, 1.5, 1e-2)),
+    # two unique columns: the history depth is capped at 2
+    "two_unique_columns": lambda request: (_two_unique_columns(), np.linspace(-0.5, 5.0, 23)),
 }
 
 
