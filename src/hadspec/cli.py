@@ -278,7 +278,7 @@ def cmd_certify(args, config) -> int:
     record = {
         "x": z.real, "v": z.imag, "n": profile.n, "N": profile.N,
         "residual": sol.residual, "iterations": sol.iterations,
-        "converged": sol.converged, "rho_C0": diag.rho,
+        "converged": sol.converged, "rho_C0": diag.rho, "rho_bound": diag.rho_bound,
         "identity_defect": diag.identity_defect, "power_stalled": diag.power_stalled,
     }
     if args.full:
@@ -290,9 +290,9 @@ def cmd_certify(args, config) -> int:
     options = {"profile": args.profile, "n": profile.n, "N": profile.N,
                "seed": seed, "z": str(z), "tol": cfg.tol}
     write_manifest(out + ".manifest.json", "certify", options, [out])
-    print(f"rho(C0)={diag.rho:.6g} identity_defect={diag.identity_defect:.3g} "
-          f"residual={sol.residual:.3g}")
-    return 0 if certified(sol.residual, diag.rho, cfg.tol) else 1
+    print(f"rho(C0)={diag.rho:.6g} rho_bound={diag.rho_bound:.6g} "
+          f"identity_defect={diag.identity_defect:.3g} residual={sol.residual:.3g}")
+    return 0 if certified(sol.residual, diag.rho_bound, cfg.tol) else 1
 
 
 def cmd_truncate(args, config) -> int:

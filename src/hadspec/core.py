@@ -274,7 +274,8 @@ class FixedPointSolution:
     """Solution vector e0(z) with convergence and certificate diagnostics.
 
     residual is the sup-norm fixed-point defect ||e - T(e)||_inf, rho_C0 the
-    certified spectral radius of the nonnegative contraction matrix, and
+    certified upper bound max_j (C0 e2)_j / e2_j on the spectral radius of
+    the nonnegative contraction matrix C0 (Collatz-Wielandt), and
     identity_defect the sup-norm residual of the imaginary-part identity
     e2 = C0 e2 + v b0.
     """
@@ -287,7 +288,6 @@ class FixedPointSolution:
     iterations: int
     g: complex
     converged: bool
-    rho_stalled: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "e0", _readonly(np.asarray(self.e0, dtype=complex)))

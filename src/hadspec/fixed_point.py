@@ -24,16 +24,20 @@ state is points-major: each point's history of differences is
 contiguous, its Gram matrix is updated by one row per step, and the
 normal equations of all points are solved at once by an unrolled Cholesky
 factorisation (``_hermitian_solve``).  One matrix-free
-certificate, ``_certify``, gives rho(C0) and the imaginary-part identity
-defect on the block, and ``certified`` (residual <= tol and rho(C0) < 1:
-uniqueness and local stability) defines converged on every path.
+certificate, ``_certify``, applies C0 once to e2 = Im e on the block: the
+product gives the imaginary-part identity defect and the Collatz-Wielandt
+bound max_j (C0 e2)_j / e2_j >= rho(C0), and ``certified`` (residual <= tol
+and that bound < 1: uniqueness and local stability) defines converged on
+every path.
 ``solve_grid`` solves a grid as one cold-started block, ``solve_e0`` one
 point; ``solve_batch`` is the bare kernel on a horizontal line, evaluated
 by ``batch_G`` and ``batch_certificate``.
 
 The full-size maps (row_denominators, iterate_e, build_certificate,
 cross_contraction_matrix) are the spec surface and the reference the
-reduced kernel is tested against.
+reduced kernel is tested against; build_certificate and
+spectral_radius_nonneg estimate rho(C0) itself by power iteration on the
+assembled C0.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .core import FixedPointSolution, SpectralPoint, WeightProfile, ZGrid
 # 5 and 8 cost more per step than they save
 _DEPTH = 3
 _REG = 1e-14        # normal-equation regularisation, relative to the trace
+# power iteration of the full-matrix oracle spectral_radius_nonneg
 _POWER_TOL = 1e-12
 _POWER_CAP = 50_000
 _POWER_STALL = 1e-10
@@ -73,12 +78,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ContractionDiagnostics:
-    """Certificate data at a solution: e2 = C0 e2 + v b0 and rho(C0) < 1."""
+    """Certificate data at a solution: e2 = C0 e2 + v b0 and rho(C0) < 1.
+
+    rho is the power-iteration estimate of rho(C0) (power_stalled flags an
+    estimate still moving at the cap); rho_bound = max_j (C0 e2)_j / e2_j
+    is the Collatz-Wielandt upper bound on it that the solve paths certify.
+    """
 
     C0: np.ndarray
     b0: np.ndarray
     e2: np.ndarray
     rho: float
+    rho_bound: float
     identity_defect: float
     power_stalled: bool = False
 
@@ -325,44 +336,37 @@ def spectral_radius_nonneg(C: np.ndarray, start: np.ndarray,
 
 
 def _certify(profile: WeightProfile, e_red: np.ndarray, denom: np.ndarray, v):
-    """rho(C0), the identity defect and the power-iteration stall flag per column.
+    """Upper bound on rho(C0) and the identity defect per column, from one product.
 
     denom holds the inner denominators of e_red's columns; v is their height.
     Nonzero eigenvectors of C0 are constant on groups of identical columns,
-    so rho(C0) is the Perron value of the collapsed matrix
-    outer diag(1/|den|^2) inner diag(c/|1 + c e|^2), applied without forming
-    it.  Stopping and stall rules are those of spectral_radius_nonneg.
+    so C0 acts through the collapsed matrix
+    outer diag(1/|den|^2) inner diag(c/|1 + c e|^2), applied once to
+    e2 = Im e > 0 without forming it.  The Collatz-Wielandt bound (Horn and
+    Johnson, Matrix Analysis, Thm 8.1.26) makes max_j (C0 e2)_j / e2_j an
+    upper bound on rho(C0); at a fixed point C0 e2 = e2 - v b0 with b0 > 0,
+    so the bound is 1 - min_j v b0_j / e2_j < 1, the paper's uniqueness
+    argument as a number.
     """
     red = profile.reduced
     inv_abs2 = 1.0 / np.abs(denom) ** 2                         # (nr, P)
     col_w = profile.c / np.abs(1.0 + profile.c * e_red) ** 2    # (nc, P)
-
-    def apply(x, cols):
-        return red.outer @ (inv_abs2[:, cols] * (red.inner @ (col_w[:, cols] * x)))
-
-    b = red.outer @ inv_abs2                                    # (nc, P): b0 > 0, so C0 x > 0
     e2 = e_red.imag
-    defect = np.abs(e2 - apply(e2, slice(None)) - np.asarray(v) * b).max(axis=0)
-    x = b / b.max(axis=0)
-    rho, prev = np.zeros(len(defect)), np.zeros(len(defect))
-    live = np.arange(len(defect))                               # columns still iterating
-    for _ in range(_POWER_CAP):
-        y = apply(x[:, live], live)
-        prev[live], rho[live] = rho[live], y.max(axis=0)
-        x[:, live] = y / rho[live]
-        live = live[abs(rho[live] - prev[live]) > _POWER_TOL * rho[live]]
-        if not live.size:
-            break
-    return rho, defect, abs(rho - prev) > _POWER_STALL * rho
+    c0_e2 = red.outer @ (inv_abs2 * (red.inner @ (col_w * e2)))
+    defect = np.abs(e2 - c0_e2 - np.asarray(v) * (red.outer @ inv_abs2)).max(axis=0)
+    return (c0_e2 / e2).max(axis=0), defect
 
 
 def certified(res, rho, tol: float):
-    """The one definition of converged: residual <= tol and rho(C0) < 1."""
+    """The one definition of converged: residual <= tol and rho < 1.
+
+    The solve paths pass _certify's upper bound on rho(C0) as rho.
+    """
     return (res <= tol) & (rho < 1.0)
 
 
 def build_certificate(profile: WeightProfile, sol: FixedPointSolution) -> ContractionDiagnostics:
-    """Assemble C0, b0 and the imaginary-part identity defect at a solution."""
+    """Assemble C0, b0, the identity defect and both rho(C0) figures at a solution."""
     z = sol.z.z
     e = np.asarray(sol.e0, dtype=complex)
     denom = row_denominators(profile, e, z)
@@ -372,9 +376,11 @@ def build_certificate(profile: WeightProfile, sol: FixedPointSolution) -> Contra
     C0 = ((d2 * inv_abs2[:, None]).T @ d2) / profile.N**2 * wcol[None, :]
     b0 = d2.T @ inv_abs2 / profile.n
     e2 = e.imag
-    defect = float(np.max(np.abs(e2 - C0 @ e2 - z.imag * b0)))
+    c0_e2 = C0 @ e2
+    defect = float(np.max(np.abs(e2 - c0_e2 - z.imag * b0)))
     rho, stalled = spectral_radius_nonneg(C0, b0)
     return ContractionDiagnostics(C0=C0, b0=b0, e2=e2, rho=rho,
+                                  rho_bound=float(np.max(c0_e2 / e2)),
                                   identity_defect=defect, power_stalled=stalled)
 
 
@@ -408,13 +414,13 @@ def _solve(profile: WeightProfile, points, cfg: SolverConfig, e=None) -> list:
         e = _cold_start(profile, zs.imag)
     e, res, iters = _anderson(red, profile.c, e, zs, cfg)
     denom = _denominators(red, profile.c, e, zs)
-    rho, defect, stalled = _certify(profile, e, denom, zs.imag)
+    rho, defect = _certify(profile, e, denom, zs.imag)
     ok = certified(res, rho, cfg.tol)
     g = _reduced_G(profile, denom)
     return [FixedPointSolution(
                 z=pt, e0=_expand(red, e[:, p]), residual=float(res[p]), rho_C0=float(rho[p]),
                 identity_defect=float(defect[p]), iterations=int(iters[p]), g=complex(g[p]),
-                converged=bool(ok[p]), rho_stalled=bool(stalled[p]))
+                converged=bool(ok[p]))
             for p, pt in enumerate(points)]
 
 
@@ -478,6 +484,6 @@ def batch_G(profile: WeightProfile, e_red: np.ndarray, xs, v: float) -> np.ndarr
 
 
 def batch_certificate(profile: WeightProfile, e_red: np.ndarray, xs, v: float):
-    """(rho(C0), identity defect, stalled) for every batch column, see _certify."""
+    """(upper bound on rho(C0), identity defect) for every batch column, see _certify."""
     zs = np.asarray(xs, dtype=float) + 1j * v
     return _certify(profile, e_red, _denominators(profile.reduced, profile.c, e_red, zs), v)

@@ -96,10 +96,9 @@ class LevelDiagnostics:
     eta: float
     unconverged: int        # points not certified at this level
     residual_max: float
-    rho_max: float
+    rho_max: float          # largest upper bound on rho(C0), see fixed_point._certify
     defect_max: float       # worst imaginary-part identity defect
     iterations: int         # map applications, summed over the points
-    stalled: int            # points whose rho(C0) power iteration stalled at its cap
 
 
 @dataclass(frozen=True)
@@ -136,13 +135,12 @@ def _sweep(profile: WeightProfile, xs: np.ndarray, etas: tuple, scfg: SolverConf
     e_red = None
     for eta in etas:
         e_red, res, iters = solve_batch(profile, xs, eta, scfg, warm=e_red)
-        rho, defect, stalled = batch_certificate(profile, e_red, xs, eta)
+        rho, defect = batch_certificate(profile, e_red, xs, eta)
         im.append(batch_G(profile, e_red, xs, eta).imag)
         ok.append(certified(res, rho, scfg.tol))
         levels.append(LevelDiagnostics(
             eta=eta, unconverged=int(np.count_nonzero(~ok[-1])), residual_max=float(res.max()),
-            rho_max=float(rho.max()), defect_max=float(defect.max()), iterations=int(iters.sum()),
-            stalled=int(np.count_nonzero(stalled))))
+            rho_max=float(rho.max()), defect_max=float(defect.max()), iterations=int(iters.sum())))
     return np.array(im), np.array(ok), tuple(levels)
 
 

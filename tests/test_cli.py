@@ -152,6 +152,19 @@ class TestCertifyTruncate:
         assert rec["rho_C0"] < 1.0
         assert rec["identity_defect"] <= 1e-9
 
+    def test_certify_reports_rho_bound(self, tmp_path):
+        # the README's certify example: the power estimate lies under the
+        # bound; on this one-column profile the two agree up to rounding
+        out = str(tmp_path / "cert.json")
+        status = run_cli(["certify", "--profile", "ones", "--n", "32", "--N", "32",
+                          "--z", "0.5+0.5i", "-o", out])
+        assert status == 0
+        rec = read_json(out)
+        assert rec["rho_C0"] <= rec["rho_bound"] * (1 + 1e-12)
+        assert rec["rho_bound"] == pytest.approx(rec["rho_C0"], rel=1e-12)
+        assert rec["rho_bound"] < 1.0
+        assert rec["power_stalled"] is False
+
     def test_truncate_plan_json(self, tmp_path):
         out = str(tmp_path / "plan.json")
         status = run_cli(["truncate", "--profile", "spiked:2,30", "--n", "16",

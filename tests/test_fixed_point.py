@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hadspec import (
+    FixedPointSolution,
+    InversionConfig,
     SolverConfig,
     SpectralPoint,
     ZGrid,
@@ -257,23 +259,15 @@ class TestCertificate:
         zs = xs + 1j * v
         e_red, res, _ = solve_batch(profile, xs, v)
         assert np.all(res <= 1e-12)
-        rho, defect, stalled = _certify(profile, e_red,
-                                        _denominators(red, profile.c, e_red, zs), v)
-        assert not stalled.any()
+        rho, defect = _certify(profile, e_red, _denominators(red, profile.c, e_red, zs), v)
         for p, z in enumerate(zs):
             sol = solve_e0(profile, z)
             full = build_certificate(profile, sol)
-            assert rho[p] == pytest.approx(full.rho, rel=1e-10)
+            assert rho[p] == pytest.approx(full.rho_bound, rel=1e-10)
+            # the Collatz-Wielandt bound lies above the power iteration's rho(C0)
+            assert rho[p] >= full.rho * (1 - 1e-12)
             # defects are rounding-level, so compare them on that scale
             assert defect[p] == pytest.approx(full.identity_defect, rel=1e-6, abs=1e-15)
-
-    def test_power_cap_flags_stall(self, rand_profile, monkeypatch):
-        import hadspec.fixed_point as fp
-        xs, v = np.array([0.5, 1.5]), 0.05
-        e_red, _, _ = solve_batch(rand_profile, xs, v)
-        assert not batch_certificate(rand_profile, e_red, xs, v)[2].any()
-        monkeypatch.setattr(fp, "_POWER_CAP", 2)
-        assert batch_certificate(rand_profile, e_red, xs, v)[2].all()
 
     def test_certified_is_residual_and_rho(self):
         res = np.array([1e-13, 1e-13, 1e-11, 1e-12])
@@ -423,7 +417,7 @@ class TestSolveBatch:
         v = 0.05
         e_red, res, iters = solve_batch(profile, xs, v, cfg)
         g = batch_G(profile, e_red, xs, v)
-        rho, _, _ = batch_certificate(profile, e_red, xs, v)
+        rho, _ = batch_certificate(profile, e_red, xs, v)
         assert np.all(res <= cfg.tol)
         for k, x in enumerate(xs):
             sol = solve_e0(profile, complex(x, v), cfg)
@@ -568,6 +562,46 @@ class TestAndersonKernel:
         for a in grams:
             filled = np.diagonal(a, axis1=1, axis2=2).real != 1.0
             assert np.all(filled.sum(axis=1) <= 1)
+
+
+def _oracle_certificates(profile, e_red, xs, v):
+    # build_certificate (full-size C0, power iteration) at each batch column
+    return [build_certificate(profile, FixedPointSolution(
+                z=SpectralPoint.of(complex(x, v)), e0=_expand(profile.reduced, e_red[:, p]),
+                residual=0.0, rho_C0=0.0, identity_defect=0.0, iterations=0, g=1j,
+                converged=False))
+            for p, x in enumerate(xs)]
+
+
+class TestCollatzWielandtBound:
+    """_certify's one-product bound against the full-matrix power iteration."""
+
+    # every level of the default schedule, then 1e-4
+    ETAS = InversionConfig(x_grid=np.linspace(0.0, 1.0, 5)).eta_sequence + (1e-4,)
+
+    @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
+    def test_certifies_the_oracle_points(self, name, request):
+        profile, xs = KERNEL_GRIDS[name](request)
+        e_red = None
+        for eta in self.ETAS:
+            e_red, res, _ = solve_batch(profile, xs, eta, warm=e_red)
+            bound, _ = batch_certificate(profile, e_red, xs, eta)
+            rho = np.array([d.rho for d in _oracle_certificates(profile, e_red, xs, eta)])
+            assert np.array_equal(certified(res, bound, 1e-12), certified(res, rho, 1e-12))
+            assert np.all(bound >= rho * (1 - 1e-12))
+
+    @pytest.mark.parametrize("profile", [validate_profile(np.ones((16, 16))),
+                                         make_profile("block:0.5,1.5", 24, 36)])
+    def test_exact_on_one_unique_column(self, profile):
+        # C0 has rank one, so the bound is its one nonzero eigenvalue
+        assert profile.reduced.d2.shape[1] == 1
+        xs = np.linspace(-0.5, 4.5, 11)
+        for eta in (1.0, 1e-2, 1e-4):
+            e_red, res, _ = solve_batch(profile, xs, eta)
+            assert np.all(res <= 1e-12)
+            bound, _ = batch_certificate(profile, e_red, xs, eta)
+            for p, diag in enumerate(_oracle_certificates(profile, e_red, xs, eta)):
+                assert bound[p] == pytest.approx(diag.rho, rel=1e-14)
 
 
 def _regularised_gram(dR):

@@ -65,7 +65,6 @@ class TestDensityCurve:
         assert diag.rho_max == max(lv.rho_max for lv in diag.levels) < 1.0
         assert diag.residual_max == max(lv.residual_max for lv in diag.levels) <= 1e-12
         assert all(lv.unconverged == 0 and 0 <= lv.defect_max <= 1e-10 for lv in diag.levels)
-        assert all(lv.stalled == 0 for lv in diag.levels)
         # the same input gives the same records
         assert density_curve(rand_profile, cfg, with_diagnostics=True)[1] == diag
         # a short budget: counted per level, and the curve's gaps are the
@@ -75,13 +74,20 @@ class TestDensityCurve:
         assert counts[0] == 31 and 0 < counts[2] < counts[1] == len(short.unconverged)
         assert short.levels[0].iterations == 31 * 8
 
-    def test_per_level_diagnostics_count_stalls(self, rand_profile, monkeypatch):
-        # two power-iteration steps cannot settle rho(C0) at any point
+    def test_certificate_does_not_use_the_power_iteration(self, rand_profile, monkeypatch):
+        # a two-step power-iteration cap once left every point's rho(C0)
+        # estimate unsettled, yet certified; the sweep's bound needs no
+        # iteration, so the cap changes nothing
         import hadspec.fixed_point as fp
         cfg = InversionConfig(x_grid=np.linspace(-0.5, 4.0, 31))
+        curve, diag = density_curve(rand_profile, cfg, with_diagnostics=True)
         monkeypatch.setattr(fp, "_POWER_CAP", 2)
-        _, diag = density_curve(rand_profile, cfg, with_diagnostics=True)
-        assert [lv.stalled for lv in diag.levels] == [31, 31, 31]
+        capped, capped_diag = density_curve(rand_profile, cfg, with_diagnostics=True)
+        assert capped_diag == diag
+        for name in ("xs", "density", "cdf"):
+            assert np.array_equal(getattr(capped, name), getattr(curve, name))
+        assert (capped.eta_used, capped.atom_at_zero, capped.failed_xs) == \
+            (curve.eta_used, curve.atom_at_zero, curve.failed_xs)
 
     def test_scale_equivariance(self, rand_profile):
         # rescaling weights by s maps x -> s^2 x, eta -> s^2 eta exactly
