@@ -20,30 +20,18 @@ from .core import (
     ZGrid,
     validate_profile,
 )
-from .fixed_point import (
-    ContractionDiagnostics,
-    SolverConfig,
-    build_certificate,
-    cross_contraction_matrix,
-    evaluate_G,
-    iterate_e,
-    row_denominators,
-    solve_e0,
-    solve_grid,
-)
+from .fixed_point import SolverConfig, build_certificate, row_denominators, solve_e0, solve_grid
 from .stieltjes import InversionConfig, cdf_interval, density_curve, edge_refined_grid, mass_check
 from .random_spectra import (
     EntrySampler,
-    PipelineResult,
     TruncationPipelineConfig,
     build_B,
     empirical_spectrum,
     hermitian_eigenvalues,
-    sample_matrix,
     truncate_center_rescale,
 )
 from .metrics import TestFunctionIndex, d_metric, ks_distance
-from .tightness import TruncationPlan, plan_truncation, truncate_profile
-from .experiments import ComparisonReport, ExperimentSpec, make_profile, run_experiment
+from .tightness import plan_truncation, truncate_profile
+from .experiments import ExperimentSpec, make_profile, run_experiment
 
 __version__ = "0.1.0"

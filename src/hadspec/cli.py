@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from .core import SpectralPoint, WeightProfile, ZGrid
 from .experiments import ExperimentSpec, default_xmax, make_profile, run_experiment
-from .fixed_point import SolverConfig, build_certificate, certified, solve_e0, solve_grid
+from .fixed_point import SolverConfig, build_certificate, solve_e0, solve_grid
 from .random_spectra import EntrySampler, FAMILIES, TruncationPipelineConfig, empirical_spectrum
-from .stieltjes import InversionConfig, density_curve, edge_refined_grid
+from .stieltjes import DEFAULT_ETAS, InversionConfig, density_curve, edge_refined_grid
 from .tightness import plan_truncation
 
 SEED_ENV = "HS_SEED"
@@ -197,7 +197,7 @@ def cmd_density(args, config) -> int:
     xmin = float(resolve(args, config, "xmin", -0.5, float))
     xmax = float(resolve(args, config, "xmax", None, float) or default_xmax(profile))
     points = int(resolve(args, config, "points", 141, int))
-    etas = args.eta or parse_floats(config.get("eta", "")) or (1e-2, 5e-3, 2.5e-3)
+    etas = args.eta or parse_floats(config.get("eta", "")) or DEFAULT_ETAS
     grid = edge_refined_grid(xmin, xmax, n_uniform=points,
                              width=min(0.25 * (xmax - xmin), 0.3))
     cfg = InversionConfig(x_grid=grid, eta_sequence=tuple(etas))
@@ -246,7 +246,7 @@ def cmd_compare(args, config) -> int:
     trials = int(resolve(args, config, "trials", 3, int))
     epsilon = float(resolve(args, config, "epsilon", 0.25, float))
     jobs = int(resolve(args, config, "jobs", 0, int)) or (os.cpu_count() or 1)
-    etas = args.eta or parse_floats(config.get("eta", "")) or (1e-2, 5e-3, 2.5e-3)
+    etas = args.eta or parse_floats(config.get("eta", "")) or DEFAULT_ETAS
     spec = ExperimentSpec(
         profile_generator=generator, sizes=sizes,
         sampler=EntrySampler(family=family, seed=seed, complex_entries=bool(args.complex)),
@@ -278,7 +278,7 @@ def cmd_certify(args, config) -> int:
     record = {
         "x": z.real, "v": z.imag, "n": profile.n, "N": profile.N,
         "residual": sol.residual, "iterations": sol.iterations,
-        "converged": sol.converged, "rho_C0": diag.rho, "rho_bound": diag.rho_bound,
+        "converged": sol.converged, "rho_C0": sol.rho_C0, "rho_power": diag.rho,
         "identity_defect": diag.identity_defect, "power_stalled": diag.power_stalled,
     }
     if args.full:
@@ -290,9 +290,9 @@ def cmd_certify(args, config) -> int:
     options = {"profile": args.profile, "n": profile.n, "N": profile.N,
                "seed": seed, "z": str(z), "tol": cfg.tol}
     write_manifest(out + ".manifest.json", "certify", options, [out])
-    print(f"rho(C0)={diag.rho:.6g} rho_bound={diag.rho_bound:.6g} "
+    print(f"rho_C0={sol.rho_C0:.6g} rho_power={diag.rho:.6g} "
           f"identity_defect={diag.identity_defect:.3g} residual={sol.residual:.3g}")
-    return 0 if certified(sol.residual, diag.rho_bound, cfg.tol) else 1
+    return 0 if sol.converged else 1
 
 
 def cmd_truncate(args, config) -> int:

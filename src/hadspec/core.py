@@ -8,7 +8,6 @@ live with the operations, not here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -77,11 +76,6 @@ class WeightProfile:
     max_entry: float
 
     @property
-    def ratio(self) -> Fraction:
-        """The aspect ratio c = n/N as an exact rational."""
-        return Fraction(self.n, self.N)
-
-    @property
     def c(self) -> float:
         return self.n / self.N
 
@@ -116,12 +110,6 @@ class WeightProfile:
             inner=_readonly(cols * col_mult / self.N),
             outer=_readonly((cols * row_mult[:, None]).T / self.n),
         )
-
-    def scaled(self, s: float) -> "WeightProfile":
-        """Profile with every weight multiplied by s > 0."""
-        if s <= 0:
-            raise ProfileValidationError("scale factor must be positive")
-        return validate_profile(self.entries * s)
 
     # -- serialization: CSV of n rows x N columns, 17 significant digits ----
 
@@ -245,19 +233,6 @@ class ZGrid:
         return iter(self.points)
 
     @classmethod
-    def single(cls, x: float, v: float) -> "ZGrid":
-        return cls((SpectralPoint(x, v),))
-
-    @classmethod
-    def vertical(cls, x: float, vs) -> "ZGrid":
-        vs = sorted(set(float(v) for v in vs), reverse=True)
-        return cls(tuple(SpectralPoint(x, v) for v in vs))
-
-    @classmethod
-    def horizontal(cls, xs, v: float) -> "ZGrid":
-        return cls(tuple(SpectralPoint(float(x), float(v)) for x in xs))
-
-    @classmethod
     def product(cls, xs, vs) -> "ZGrid":
         """All (x, v) pairs, descending v within each x."""
         vs = sorted(set(float(v) for v in vs), reverse=True)
@@ -330,10 +305,6 @@ class EmpiricalDistribution:
         if np.any(np.diff(a) < 0):
             raise ValueError("atoms must be ascending")
         object.__setattr__(self, "atoms", _readonly(a))
-
-    @classmethod
-    def from_values(cls, values) -> "EmpiricalDistribution":
-        return cls(np.sort(np.asarray(values, dtype=float)))
 
     def __len__(self):
         return len(self.atoms)

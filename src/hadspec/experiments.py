@@ -18,9 +18,10 @@ import numpy as np
 
 from .core import WeightProfile, validate_profile
 from .fixed_point import SolverConfig, certified
-from .metrics import DEFAULT_I_MAX, d_metric, ks_distance
+from .metrics import d_metric, ks_distance
 from .random_spectra import EntrySampler, empirical_spectrum
-from .stieltjes import InversionConfig, _eta_schedule, density_curve, edge_refined_grid
+from .stieltjes import (DEFAULT_ETAS, InversionConfig, _eta_schedule, density_curve,
+                        edge_refined_grid)
 from .tightness import ZeroColumnAfterTruncationError, plan_truncation, truncate_profile
 
 GENERATORS = ("constant", "ones", "block", "iid_uniform", "spiked")
@@ -83,8 +84,7 @@ class ExperimentSpec:
     epsilon: float = 0.25
     trials: int = 1
     master_seed: int = 0
-    i_max: int = DEFAULT_I_MAX
-    eta_sequence: tuple = (1e-2, 5e-3, 2.5e-3)
+    eta_sequence: tuple = DEFAULT_ETAS
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
@@ -149,14 +149,6 @@ def _size_seed(master_seed: int, n: int, N: int) -> int:
     return int(np.random.SeedSequence([int(master_seed), int(n), int(N)]).generate_state(1)[0])
 
 
-def _truncated_curve(profile: WeightProfile, epsilon: float, spec: ExperimentSpec):
-    """Plan the epsilon-truncation, apply it and invert: (curve, diagnostics)."""
-    plan = plan_truncation(profile, epsilon)
-    truncated = truncate_profile(profile, max(plan.M, np.finfo(float).tiny))
-    cfg = InversionConfig(x_grid=default_x_grid(truncated), eta_sequence=spec.eta_sequence)
-    return density_curve(truncated, cfg, spec.solver, with_diagnostics=True)
-
-
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ComparisonReport:
     """Execute every (size, trial) cell; failures are recorded, never fatal."""
     t_start = time.perf_counter()
@@ -166,7 +158,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ComparisonReport:
     for n, N in spec.sizes:
         profile = make_profile(spec.profile_generator, n, N, spec.master_seed)
         try:
-            curve, diag = _truncated_curve(profile, spec.epsilon, spec)
+            plan = plan_truncation(profile, spec.epsilon)
+            truncated = truncate_profile(profile, max(plan.M, np.finfo(float).tiny))
+            cfg = InversionConfig(x_grid=default_x_grid(truncated), eta_sequence=spec.eta_sequence)
+            curve, diag = density_curve(truncated, cfg, spec.solver, with_diagnostics=True)
         except (ZeroColumnAfterTruncationError, ValueError, RuntimeError) as exc:
             rows.extend(CellResult(n=n, N=N, trial=t, error=f"{type(exc).__name__}: {exc}")
                         for t in range(spec.trials))
@@ -178,7 +173,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ComparisonReport:
 
         def one_trial(t: int) -> CellResult:
             t0 = time.perf_counter()
-            dm = d_metric(spectra[t], curve, spec.i_max)
+            dm = d_metric(spectra[t], curve)
             ks = ks_distance(spectra[t], curve)
             return CellResult(n=n, N=N, trial=t, d_value=dm.value, d_tail=dm.tail_bound,
                               ks=ks, rho_max=diag.rho_max, residual_max=diag.residual_max,
@@ -199,27 +194,3 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ComparisonReport:
     return ComparisonReport(spec=spec, rows=tuple(rows), medians=medians,
                             curve_mass=curve_mass,
                             total_runtime=time.perf_counter() - t_start)
-
-
-DEFAULT_LADDER = (1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64)
-
-
-def smallest_passing_epsilon(spec: ExperimentSpec, n: int, N: int,
-                             ladder=DEFAULT_LADDER) -> float | None:
-    """Smallest ladder epsilon whose plan keeps all columns nonzero and whose
-    median metric value stays below epsilon.  A finite-n diagnostic for how
-    small the truncation level can be pushed; no minimality claim.
-    """
-    profile = make_profile(spec.profile_generator, n, N, spec.master_seed)
-    seed = _size_seed(spec.master_seed, n, N)
-    spectra = empirical_spectrum(profile, spec.sampler, None, spec.trials, seed=seed)
-    passing = []
-    for eps in sorted(ladder, reverse=True):
-        try:
-            curve, _ = _truncated_curve(profile, eps, spec)
-        except (ZeroColumnAfterTruncationError, ValueError, RuntimeError):
-            continue
-        dvals = [d_metric(s, curve, spec.i_max).upper for s in spectra]
-        if float(np.median(dvals)) <= eps:
-            passing.append(eps)
-    return min(passing) if passing else None

@@ -23,21 +23,22 @@ of Helton, Rashidi Far and Speicher, IMRN 2007, at weight 1).  The kernel's
 state is points-major: each point's history of differences is
 contiguous, its Gram matrix is updated by one row per step, and the
 normal equations of all points are solved at once by an unrolled Cholesky
-factorisation (``_hermitian_solve``).  One matrix-free
-certificate, ``_certify``, applies C0 once to e2 = Im e on the block: the
-product gives the imaginary-part identity defect and the Collatz-Wielandt
-bound max_j (C0 e2)_j / e2_j >= rho(C0), and ``certified`` (residual <= tol
-and that bound < 1: uniqueness and local stability) defines converged on
-every path.
-``solve_grid`` solves a grid as one cold-started block, ``solve_e0`` one
-point; ``solve_batch`` is the bare kernel on a horizontal line, evaluated
-by ``batch_G`` and ``batch_certificate``.
+factorisation (``_hermitian_solve``).
 
-The full-size maps (row_denominators, iterate_e, build_certificate,
-cross_contraction_matrix) are the spec surface and the reference the
-reduced kernel is tested against; build_certificate and
-spectral_radius_nonneg estimate rho(C0) itself by power iteration on the
-assembled C0.
+Every solve path ends in one tail, ``_finish``: it forms the block's
+denominators once and returns G, the certificate and the certified mask.
+The certificate, ``_certify``, applies C0 once to e2 = Im e on the block:
+the product gives the imaginary-part identity defect and the
+Collatz-Wielandt bound max_j (C0 e2)_j / e2_j >= rho(C0), and ``certified``
+(residual <= tol and that bound < 1: uniqueness and local stability)
+defines converged on every path.  ``solve_grid`` solves a grid as one
+cold-started block, ``solve_e0`` one point; ``solve_batch`` is the bare
+kernel on a horizontal line, which the inversions in ``stieltjes`` finish
+with ``_finish`` and ``batch_G`` evaluates.
+
+``row_denominators`` and ``build_certificate`` are the full-size
+reference: build_certificate assembles C0 and estimates rho(C0) itself by
+power iteration (``spectral_radius_nonneg``).
 """
 
 from __future__ import annotations
@@ -80,16 +81,15 @@ class SolverConfig:
 class ContractionDiagnostics:
     """Certificate data at a solution: e2 = C0 e2 + v b0 and rho(C0) < 1.
 
-    rho is the power-iteration estimate of rho(C0) (power_stalled flags an
-    estimate still moving at the cap); rho_bound = max_j (C0 e2)_j / e2_j
-    is the Collatz-Wielandt upper bound on it that the solve paths certify.
+    rho is the power-iteration estimate of rho(C0); power_stalled flags an
+    estimate still moving at the cap.  The solve paths certify the
+    Collatz-Wielandt upper bound max_j (C0 e2)_j / e2_j on it instead.
     """
 
     C0: np.ndarray
     b0: np.ndarray
     e2: np.ndarray
     rho: float
-    rho_bound: float
     identity_defect: float
     power_stalled: bool = False
 
@@ -117,7 +117,7 @@ def _check_upper(e: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementary maps (full-size, spec surface)
+# full-size denominators, the reference for the reduced kernel
 # ---------------------------------------------------------------------------
 
 def row_denominators(profile: WeightProfile, e, z) -> np.ndarray:
@@ -131,20 +131,6 @@ def row_denominators(profile: WeightProfile, e, z) -> np.ndarray:
     _check_upper(e)
     w = 1.0 / (1.0 + profile.c * e)
     return profile.squared @ w / profile.N - z
-
-
-def iterate_e(profile: WeightProfile, e, z) -> np.ndarray:
-    """One application of the fixed-point map; preserves the upper half-plane."""
-    denom = row_denominators(profile, e, z)
-    return profile.squared.T @ (1.0 / denom) / profile.n
-
-
-def evaluate_G(profile: WeightProfile, sol: FixedPointSolution, strict: bool = True) -> complex:
-    """Stieltjes transform G(z) = (1/n) sum_i 1/denom_i at a solved point."""
-    if strict and not sol.converged:
-        raise ValueError("solution is not converged; pass strict=False to evaluate anyway")
-    denom = row_denominators(profile, sol.e0, sol.z)
-    return complex(np.mean(1.0 / denom))
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +297,7 @@ def _anderson(red, c, e, zs, cfg: SolverConfig):
 # certificates
 # ---------------------------------------------------------------------------
 
-def spectral_radius_nonneg(C: np.ndarray, start: np.ndarray,
-                           rel_tol: float = _POWER_TOL, cap: int = _POWER_CAP):
+def spectral_radius_nonneg(C: np.ndarray, start: np.ndarray, cap: int = _POWER_CAP):
     """Perron eigenvalue of a nonnegative matrix by power iteration.
 
     Returns (rho, stalled); stalled is set when the relative eigenvalue
@@ -330,7 +315,7 @@ def spectral_radius_nonneg(C: np.ndarray, start: np.ndarray,
         if rho <= 0.0:
             return 0.0, False
         x = y / rho
-        if abs(rho - prev) <= rel_tol * rho:
+        if abs(rho - prev) <= _POWER_TOL * rho:
             return rho, False
     return rho, abs(rho - prev) > _POWER_STALL * rho
 
@@ -353,7 +338,7 @@ def _certify(profile: WeightProfile, e_red: np.ndarray, denom: np.ndarray, v):
     col_w = profile.c / np.abs(1.0 + profile.c * e_red) ** 2    # (nc, P)
     e2 = e_red.imag
     c0_e2 = red.outer @ (inv_abs2 * (red.inner @ (col_w * e2)))
-    defect = np.abs(e2 - c0_e2 - np.asarray(v) * (red.outer @ inv_abs2)).max(axis=0)
+    defect = np.abs(e2 - c0_e2 - v * (red.outer @ inv_abs2)).max(axis=0)
     return (c0_e2 / e2).max(axis=0), defect
 
 
@@ -365,8 +350,19 @@ def certified(res, rho, tol: float):
     return (res <= tol) & (rho < 1.0)
 
 
+def _finish(profile: WeightProfile, e_red: np.ndarray, zs: np.ndarray, res, tol: float):
+    """The tail of every solve path: (G, rho bound, identity defect, certified) per column.
+
+    Column p of e_red is solved at zs[p] with residual res[p]; its
+    denominators are formed once and feed both G and _certify.
+    """
+    denom = _denominators(profile.reduced, profile.c, e_red, zs)
+    rho, defect = _certify(profile, e_red, denom, zs.imag)
+    return _reduced_G(profile, denom), rho, defect, certified(res, rho, tol)
+
+
 def build_certificate(profile: WeightProfile, sol: FixedPointSolution) -> ContractionDiagnostics:
-    """Assemble C0, b0, the identity defect and both rho(C0) figures at a solution."""
+    """Assemble C0, b0, the identity defect and the power estimate of rho(C0) at a solution."""
     z = sol.z.z
     e = np.asarray(sol.e0, dtype=complex)
     denom = row_denominators(profile, e, z)
@@ -379,27 +375,8 @@ def build_certificate(profile: WeightProfile, sol: FixedPointSolution) -> Contra
     c0_e2 = C0 @ e2
     defect = float(np.max(np.abs(e2 - c0_e2 - z.imag * b0)))
     rho, stalled = spectral_radius_nonneg(C0, b0)
-    return ContractionDiagnostics(C0=C0, b0=b0, e2=e2, rho=rho,
-                                  rho_bound=float(np.max(c0_e2 / e2)),
-                                  identity_defect=defect, power_stalled=stalled)
-
-
-def cross_contraction_matrix(profile: WeightProfile, e, e_bar, z) -> np.ndarray:
-    """Matrix A coupling two candidate solutions at the same z.
-
-    Satisfies e - e_bar = A (e - e_bar) for exact solutions; Cauchy-Schwarz
-    bounds |A| entrywise by the geometric mean of the two C0 matrices.
-    """
-    z = _as_z(z)
-    e = np.asarray(e, dtype=complex)
-    e_bar = np.asarray(e_bar, dtype=complex)
-    denom = row_denominators(profile, e, z)
-    denom_bar = row_denominators(profile, e_bar, z)
-    d2 = profile.squared
-    c = profile.c
-    core = (d2 / (denom * denom_bar)[:, None]).T @ d2            # (N, N)
-    scale = 1.0 / ((1.0 + c * e_bar) * (1.0 + c * e))
-    return core / profile.N**2 * scale[None, :]
+    return ContractionDiagnostics(C0=C0, b0=b0, e2=e2, rho=rho, identity_defect=defect,
+                                  power_stalled=stalled)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +390,7 @@ def _solve(profile: WeightProfile, points, cfg: SolverConfig, e=None) -> list:
     if e is None:
         e = _cold_start(profile, zs.imag)
     e, res, iters = _anderson(red, profile.c, e, zs, cfg)
-    denom = _denominators(red, profile.c, e, zs)
-    rho, defect = _certify(profile, e, denom, zs.imag)
-    ok = certified(res, rho, cfg.tol)
-    g = _reduced_G(profile, denom)
+    g, rho, defect, ok = _finish(profile, e, zs, res, cfg.tol)
     return [FixedPointSolution(
                 z=pt, e0=_expand(red, e[:, p]), residual=float(res[p]), rho_C0=float(rho[p]),
                 identity_defect=float(defect[p]), iterations=int(iters[p]), g=complex(g[p]),
@@ -481,9 +455,3 @@ def batch_G(profile: WeightProfile, e_red: np.ndarray, xs, v: float) -> np.ndarr
     """G(x + iv) for every batch column from the reduced solutions."""
     zs = np.asarray(xs, dtype=float) + 1j * v
     return _reduced_G(profile, _denominators(profile.reduced, profile.c, e_red, zs))
-
-
-def batch_certificate(profile: WeightProfile, e_red: np.ndarray, xs, v: float):
-    """(upper bound on rho(C0), identity defect) for every batch column, see _certify."""
-    zs = np.asarray(xs, dtype=float) + 1j * v
-    return _certify(profile, e_red, _denominators(profile.reduced, profile.c, e_red, zs), v)

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DensityCurve, EmpiricalDistribution, LengthMismatchError
+from .core import DensityCurve, EmpiricalDistribution
 
 DEFAULT_I_MAX = 24   # tail 2^-23 ~ 1.2e-7, below every comparison tolerance
 
@@ -158,41 +158,3 @@ def ks_distance(F: EmpiricalDistribution, G) -> float:
         lo = np.max(np.abs(F.cdf_left(pts) - gv))
         return float(max(hi, lo))
     raise TypeError(f"cannot compare against {type(G).__name__}")
-
-
-def comparison_record(F, G, i_max: int = DEFAULT_I_MAX, n: int | None = None,
-                      N: int | None = None, seed: int | None = None) -> dict:
-    """Flat JSON-style comparison record between two distributions.
-
-    wasserstein_bound is only defined for two empirical distributions with
-    matched atom counts; otherwise it is None.
-    """
-    dm = d_metric(F, G, i_max)
-    bound = None
-    if (isinstance(F, EmpiricalDistribution) and isinstance(G, EmpiricalDistribution)
-            and len(F) == len(G)):
-        bound = wasserstein_sq_bound(F.atoms, G.atoms)
-    return {
-        "d_value": dm.value,
-        "d_tail": dm.tail_bound,
-        "ks": ks_distance(F, G),
-        "wasserstein_bound": bound,
-        "n": n,
-        "N": N,
-        "seed": seed,
-    }
-
-
-def wasserstein_sq_bound(xs, ys) -> float:
-    """sqrt((1/n) sum (x_j - y_j)^2): upper bound certificate for the metric.
-
-    For empirical distributions on matched ascending samples this dominates
-    the test-function metric.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise LengthMismatchError("inputs must be 1-d sequences of equal length")
-    if np.any(np.diff(xs) < 0) or np.any(np.diff(ys) < 0):
-        raise ValueError("inputs must be ascending")
-    return float(np.sqrt(np.mean((xs - ys) ** 2)))

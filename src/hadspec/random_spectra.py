@@ -70,14 +70,6 @@ def _draw(rng: np.random.Generator, n: int, N: int, sampler: EntrySampler) -> np
     return _draw_real(rng, sampler.family, (n, N))
 
 
-def sample_matrix(n: int, N: int, sampler: EntrySampler) -> np.ndarray:
-    """Reproducible n x N matrix of iid standardized entries."""
-    if n < 1 or N < 1:
-        raise ValueError("need n, N >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(sampler.seed))
-    return _draw(rng, n, N, sampler)
-
-
 # ---------------------------------------------------------------------------
 # exact moments of truncated entries
 # ---------------------------------------------------------------------------

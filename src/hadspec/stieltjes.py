@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DensityCurve, WeightProfile
-from .fixed_point import SolverConfig, batch_certificate, batch_G, certified, solve_batch, solve_e0
+from .fixed_point import SolverConfig, _finish, solve_batch, solve_e0
+
+# the default eta -> 0 schedule of both inversions and the compare cells
+DEFAULT_ETAS = (1e-2, 5e-3, 2.5e-3)
+
+# a deficit 1 - int density above this is booked as a point mass at zero
+_ATOM_THRESHOLD = 0.02
 
 # Richardson is trusted only where the two finest levels agree to this
 # relative band; elsewhere (support edges, steep density shoulders) the
@@ -57,8 +63,7 @@ class InversionConfig:
     """
 
     x_grid: np.ndarray
-    eta_sequence: tuple = (1e-2, 5e-3, 2.5e-3)
-    atom_threshold: float = 0.02
+    eta_sequence: tuple = DEFAULT_ETAS
 
     def __post_init__(self):
         xs = np.asarray(self.x_grid, dtype=float)
@@ -71,8 +76,8 @@ class InversionConfig:
 
 
 def edge_refined_grid(lo: float, hi: float, n_uniform: int = 141,
-                      n_edge: int = 50, edge: float = 0.0, width: float = 0.25) -> np.ndarray:
-    """Uniform grid plus two-sided sqrt-graded refinement around a hard edge.
+                      n_edge: int = 50, width: float = 0.25) -> np.ndarray:
+    """Uniform grid plus two-sided sqrt-graded refinement around the hard edge 0.
 
     Sample-covariance spectra can pile mass against x = 0 with a 1/sqrt(x)
     density; resolving the eta-smoothed spike on both flanks is what keeps
@@ -83,7 +88,7 @@ def edge_refined_grid(lo: float, hi: float, n_uniform: int = 141,
     xs = np.linspace(lo, hi, n_uniform)
     if n_edge > 0:
         s = (np.linspace(0.0, 1.0, n_edge + 1)[1:] ** 2) * width
-        ref = np.concatenate([edge - s, edge + s, [edge]])
+        ref = np.concatenate([-s, s, [0.0]])
         ref = ref[(ref >= lo) & (ref <= hi)]
         xs = np.concatenate([xs, ref])
     return np.unique(xs)
@@ -135,11 +140,11 @@ def _sweep(profile: WeightProfile, xs: np.ndarray, etas: tuple, scfg: SolverConf
     e_red = None
     for eta in etas:
         e_red, res, iters = solve_batch(profile, xs, eta, scfg, warm=e_red)
-        rho, defect = batch_certificate(profile, e_red, xs, eta)
-        im.append(batch_G(profile, e_red, xs, eta).imag)
-        ok.append(certified(res, rho, scfg.tol))
+        g, rho, defect, ok_eta = _finish(profile, e_red, xs + 1j * eta, res, scfg.tol)
+        im.append(g.imag)
+        ok.append(ok_eta)
         levels.append(LevelDiagnostics(
-            eta=eta, unconverged=int(np.count_nonzero(~ok[-1])), residual_max=float(res.max()),
+            eta=eta, unconverged=int(np.count_nonzero(~ok_eta)), residual_max=float(res.max()),
             rho_max=float(rho.max()), defect_max=float(defect.max()), iterations=int(iters.sum())))
     return np.array(im), np.array(ok), tuple(levels)
 
@@ -176,7 +181,7 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
         raise QuadratureStallError("too few converged grid points to integrate a density")
     mass = float(np.trapezoid(density, xs_ok))
     deficit = 1.0 - mass
-    atom = deficit if deficit > cfg.atom_threshold and not failed else 0.0
+    atom = deficit if deficit > _ATOM_THRESHOLD and not failed else 0.0
     cdf = np.concatenate([[0.0], np.cumsum(np.diff(xs_ok) * (density[1:] + density[:-1]) / 2.0)])
     cdf = cdf + atom * (xs_ok >= 0.0)
 
@@ -243,10 +248,6 @@ class MassCheckReport:
     max_g_defect: float
     max_e_defect: float
     mass_scale: float
-
-    @property
-    def max_e_defect_rel(self) -> float:
-        return self.max_e_defect / self.mass_scale
 
 
 def mass_check(profile: WeightProfile, solver_cfg: SolverConfig | None = None,

@@ -8,7 +8,9 @@ quadrature of interval masses, which calls the scalar solver where the
 rewrite runs batched sweeps; the column-major Anderson kernel, which
 shares the reduced map and the mixing constants with its rewrite; the
 np.unique-based construction of ReducedProfile; and the per-function
-integral of a test function, which calls TestFunctionIndex.
+integral of a test function, which calls TestFunctionIndex.  The
+full-size maps (iterate_e, evaluate_G, cross_contraction_matrix) build on
+the package's row_denominators, and sample_matrix on its entry sampler.
 """
 
 import itertools
@@ -19,8 +21,9 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
-from hadspec.core import DensityCurve, EmpiricalDistribution, ReducedProfile
-from hadspec.fixed_point import _DEPTH, _REG, SolverConfig, _map, solve_e0
+from hadspec.core import DensityCurve, EmpiricalDistribution, LengthMismatchError, ReducedProfile
+from hadspec.fixed_point import _DEPTH, _REG, SolverConfig, _map, row_denominators, solve_e0
+from hadspec.random_spectra import _draw
 from hadspec.metrics import TestFunctionIndex
 from hadspec.stieltjes import QuadratureStallError
 from hadspec.tightness import TruncationPlan
@@ -50,6 +53,64 @@ def mp_cdf_c1(x: float) -> float:
         return 1.0
     s = math.sqrt(x * (4.0 - x))
     return 0.5 + s / (2.0 * math.pi) + math.atan((x - 2.0) / s) / math.pi
+
+
+# -- full-size fixed-point maps -----------------------------------------------
+
+def iterate_e(profile, e, z) -> np.ndarray:
+    """One application of the full-size fixed-point map; preserves the upper half-plane."""
+    denom = row_denominators(profile, e, z)
+    return profile.squared.T @ (1.0 / denom) / profile.n
+
+
+def evaluate_G(profile, sol, strict: bool = True) -> complex:
+    """Stieltjes transform G(z) = (1/n) sum_i 1/denom_i at a solved point."""
+    if strict and not sol.converged:
+        raise ValueError("solution is not converged; pass strict=False to evaluate anyway")
+    denom = row_denominators(profile, sol.e0, sol.z)
+    return complex(np.mean(1.0 / denom))
+
+
+def cross_contraction_matrix(profile, e, e_bar, z) -> np.ndarray:
+    """Matrix A coupling two candidate solutions at the same z.
+
+    Satisfies e - e_bar = A (e - e_bar) for exact solutions; Cauchy-Schwarz
+    bounds |A| entrywise by the geometric mean of the two C0 matrices.
+    """
+    e = np.asarray(e, dtype=complex)
+    e_bar = np.asarray(e_bar, dtype=complex)
+    denom = row_denominators(profile, e, z)
+    denom_bar = row_denominators(profile, e_bar, z)
+    d2 = profile.squared
+    c = profile.c
+    core = (d2 / (denom * denom_bar)[:, None]).T @ d2            # (N, N)
+    scale = 1.0 / ((1.0 + c * e_bar) * (1.0 + c * e))
+    return core / profile.N**2 * scale[None, :]
+
+
+# -- random matrices and their matched-sample distance ------------------------
+
+def sample_matrix(n: int, N: int, sampler) -> np.ndarray:
+    """Reproducible n x N matrix of iid standardized entries."""
+    if n < 1 or N < 1:
+        raise ValueError("need n, N >= 1")
+    rng = np.random.default_rng(np.random.SeedSequence(sampler.seed))
+    return _draw(rng, n, N, sampler)
+
+
+def wasserstein_sq_bound(xs, ys) -> float:
+    """sqrt((1/n) sum (x_j - y_j)^2): upper bound certificate for the metric.
+
+    For empirical distributions on matched ascending samples this dominates
+    the test-function metric.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.shape != ys.shape or xs.ndim != 1:
+        raise LengthMismatchError("inputs must be 1-d sequences of equal length")
+    if np.any(np.diff(xs) < 0) or np.any(np.diff(ys) < 0):
+        raise ValueError("inputs must be ascending")
+    return float(np.sqrt(np.mean((xs - ys) ** 2)))
 
 
 # -- truncated entry moments --------------------------------------------------

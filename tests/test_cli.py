@@ -160,10 +160,23 @@ class TestCertifyTruncate:
                           "--z", "0.5+0.5i", "-o", out])
         assert status == 0
         rec = read_json(out)
-        assert rec["rho_C0"] <= rec["rho_bound"] * (1 + 1e-12)
-        assert rec["rho_bound"] == pytest.approx(rec["rho_C0"], rel=1e-12)
-        assert rec["rho_bound"] < 1.0
+        assert rec["rho_power"] <= rec["rho_C0"] * (1 + 1e-12)
+        assert rec["rho_C0"] == pytest.approx(rec["rho_power"], rel=1e-12)
+        assert rec["rho_C0"] < 1.0
         assert rec["power_stalled"] is False
+
+    def test_certify_rho_is_the_solve_bound(self, tmp_path):
+        # rho_C0 names one figure: the bound solve writes, not the power
+        # estimate (0.594 against 0.742 on this profile)
+        args = ["--profile", "spiked:6,20", "--n", "48", "--N", "48", "--seed", "3",
+                "--z", "0.5+0.5i"]
+        solve_out, cert_out = str(tmp_path / "solve.csv"), str(tmp_path / "cert.json")
+        assert run_cli(["solve"] + args + ["-o", solve_out]) == 0
+        assert run_cli(["certify"] + args + ["-o", cert_out]) == 0
+        header, row = (line.split(",") for line in read_text(solve_out).splitlines())
+        rec = read_json(cert_out)
+        assert float(row[header.index("rho_C0")]) == rec["rho_C0"]
+        assert rec["rho_power"] < rec["rho_C0"] - 0.1
 
     def test_truncate_plan_json(self, tmp_path):
         out = str(tmp_path / "plan.json")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hadspec import EntrySampler, ExperimentSpec, make_profile, run_experiment
-from hadspec.experiments import default_x_grid, smallest_passing_epsilon
+from hadspec.experiments import default_x_grid
 
 
 def small_spec(generator="constant", sizes=((24, 24),), trials=2, epsilon=0.25, seed=5,
@@ -126,11 +126,3 @@ class TestTrendProperty:
             return drops >= 2
 
         assert steps_ok(5) or steps_ok(6)
-
-
-class TestSmallestPassingEpsilon:
-    def test_returns_ladder_value(self):
-        spec = small_spec("iid_uniform:0.5,1.5", sizes=((24, 24),), trials=2)
-        eps = smallest_passing_epsilon(spec, 24, 24, ladder=(0.5, 0.25))
-        assert eps in (0.5, 0.25, None)
-        assert eps == 0.25  # measured: the comparison passes on both rungs

@@ -8,9 +8,6 @@ from hadspec import (
     SpectralPoint,
     ZGrid,
     build_certificate,
-    cross_contraction_matrix,
-    evaluate_G,
-    iterate_e,
     row_denominators,
     solve_e0,
     solve_grid,
@@ -21,19 +18,23 @@ from hadspec.experiments import make_profile
 from hadspec.stieltjes import _GAUSS_X
 from hadspec.fixed_point import (
     NonpositiveImaginaryInputError,
-    _certify,
-    _denominators,
     _expand,
+    _finish,
     _hermitian_solve,
     _map,
-    batch_certificate,
     batch_G,
     certified,
     solve_batch,
     spectral_radius_nonneg,
 )
 
-from _oracles import anderson_reference, mp_stieltjes_root
+from _oracles import (
+    anderson_reference,
+    cross_contraction_matrix,
+    evaluate_G,
+    iterate_e,
+    mp_stieltjes_root,
+)
 
 
 def random_upper(rng, N, scale=1.0):
@@ -254,16 +255,15 @@ class TestCertificate:
     @pytest.mark.parametrize("name", ["rand_profile", "repeated_profile"])
     def test_matrix_free_certificate_matches_full(self, name, request):
         profile = request.getfixturevalue(name)
-        red = profile.reduced
         xs, v = np.array([-0.3, 0.4, 1.0, 2.5]), 0.1
         zs = xs + 1j * v
         e_red, res, _ = solve_batch(profile, xs, v)
         assert np.all(res <= 1e-12)
-        rho, defect = _certify(profile, e_red, _denominators(red, profile.c, e_red, zs), v)
+        _, rho, defect, _ = _finish(profile, e_red, zs, res, 1e-12)
         for p, z in enumerate(zs):
             sol = solve_e0(profile, z)
             full = build_certificate(profile, sol)
-            assert rho[p] == pytest.approx(full.rho_bound, rel=1e-10)
+            assert rho[p] == pytest.approx(np.max(full.C0 @ full.e2 / full.e2), rel=1e-10)
             # the Collatz-Wielandt bound lies above the power iteration's rho(C0)
             assert rho[p] >= full.rho * (1 - 1e-12)
             # defects are rounding-level, so compare them on that scale
@@ -342,7 +342,7 @@ class TestLocalContraction:
 class TestSolveGrid:
     def test_single_point_equals_solve_e0(self, rand_profile):
         z = 0.6 + 0.7j
-        grid = ZGrid.single(0.6, 0.7)
+        grid = ZGrid.product([0.6], [0.7])
         lone = solve_grid(rand_profile, grid)[0]
         direct = solve_e0(rand_profile, z)
         assert np.array_equal(lone.e0, direct.e0)
@@ -402,7 +402,7 @@ class TestSolveGrid:
 
     def test_failures_recorded_not_fatal(self, rand_profile):
         cfg = SolverConfig(tol=1e-15, max_iter=2)
-        grid = ZGrid.vertical(0.5, [2.0, 1.0])
+        grid = ZGrid.product([0.5], [2.0, 1.0])
         sols = solve_grid(rand_profile, grid, cfg)
         assert len(sols) == 2
         assert not any(s.converged for s in sols)
@@ -417,7 +417,7 @@ class TestSolveBatch:
         v = 0.05
         e_red, res, iters = solve_batch(profile, xs, v, cfg)
         g = batch_G(profile, e_red, xs, v)
-        rho, _ = batch_certificate(profile, e_red, xs, v)
+        _, rho, _, _ = _finish(profile, e_red, xs + 1j * v, res, cfg.tol)
         assert np.all(res <= cfg.tol)
         for k, x in enumerate(xs):
             sol = solve_e0(profile, complex(x, v), cfg)
@@ -585,7 +585,7 @@ class TestCollatzWielandtBound:
         e_red = None
         for eta in self.ETAS:
             e_red, res, _ = solve_batch(profile, xs, eta, warm=e_red)
-            bound, _ = batch_certificate(profile, e_red, xs, eta)
+            _, bound, _, _ = _finish(profile, e_red, xs + 1j * eta, res, 1e-12)
             rho = np.array([d.rho for d in _oracle_certificates(profile, e_red, xs, eta)])
             assert np.array_equal(certified(res, bound, 1e-12), certified(res, rho, 1e-12))
             assert np.all(bound >= rho * (1 - 1e-12))
@@ -599,7 +599,7 @@ class TestCollatzWielandtBound:
         for eta in (1.0, 1e-2, 1e-4):
             e_red, res, _ = solve_batch(profile, xs, eta)
             assert np.all(res <= 1e-12)
-            bound, _ = batch_certificate(profile, e_red, xs, eta)
+            _, bound, _, _ = _finish(profile, e_red, xs + 1j * eta, res, 1e-12)
             for p, diag in enumerate(_oracle_certificates(profile, e_red, xs, eta)):
                 assert bound[p] == pytest.approx(diag.rho, rel=1e-14)
 

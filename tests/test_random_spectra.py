@@ -10,7 +10,6 @@ from hadspec import (
     empirical_spectrum,
     hermitian_eigenvalues,
     ks_distance,
-    sample_matrix,
     truncate_center_rescale,
     validate_profile,
 )
@@ -18,6 +17,7 @@ from hadspec.core import DimensionMismatchError
 from hadspec.random_spectra import truncated_moments
 
 from _oracles import (
+    sample_matrix,
     truncated_complex_gaussian_m2,
     truncated_complex_uniform_m2,
     truncated_normal_moments,

@@ -97,7 +97,7 @@ class TestDensityCurve:
         s = 2.0
         cfg2 = InversionConfig(x_grid=grid1 * s**2,
                                eta_sequence=tuple(e * s**2 for e in cfg1.eta_sequence))
-        c2 = density_curve(rand_profile.scaled(s), cfg2)
+        c2 = density_curve(validate_profile(rand_profile.entries * s), cfg2)
         assert np.max(np.abs(c2.density - c1.density / s**2)) <= 1e-8
         assert c2.total_mass == pytest.approx(c1.total_mass, abs=1e-8)
 
@@ -261,11 +261,11 @@ class TestMassCheck:
         assert isinstance(report, MassCheckReport)
         assert report.g_defect[1e4] <= 1e-3
         assert report.e_defect[1e4] <= 1e-3   # (1/n) tr D_k^2 = 1 here
-        assert report.max_e_defect_rel <= 1e-3 * 10  # coarsest height dominates
+        assert report.max_e_defect / report.mass_scale <= 1e-3 * 10  # coarsest height dominates
 
     def test_scaled_profile_mass_target(self, ones16):
         # weights doubled: target mass per component becomes 4
-        scaled = ones16.scaled(2.0)
+        scaled = validate_profile(ones16.entries * 2.0)
         report = mass_check(scaled)
         assert report.mass_scale == pytest.approx(4.0)
         assert report.e_defect[1e4] <= 1e-3 * report.mass_scale

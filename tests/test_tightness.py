@@ -8,14 +8,13 @@ from hadspec import (
     hermitian_eigenvalues,
     ks_distance,
     plan_truncation,
-    sample_matrix,
     truncate_profile,
     validate_profile,
 )
 from hadspec.experiments import make_profile
 from hadspec.tightness import ZeroColumnAfterTruncationError
 
-from _oracles import brute_force_min_M, greedy_plan_rescan
+from _oracles import brute_force_min_M, greedy_plan_rescan, sample_matrix
 
 
 def spiked_profile(rng, n, N, k, height):
