@@ -3,15 +3,15 @@
 One experiment cell = (matrix size, trial): build the weight profile, plan
 and apply the epsilon-truncation, solve and invert the deterministic
 equivalent once per size (it is nonrandom), simulate the random spectrum
-per trial, and compare.  Medians across trials per size are the finite-n
-evidence for the vanishing-distance statement; rows failing the residual or
-spectral-radius certificate are excluded from trend statistics.
+per trial, and compare.  The cells run one after another in one thread.
+Medians across trials per size are the finite-n evidence for the
+vanishing-distance statement; rows failing the residual or spectral-radius
+certificate are excluded from trend statistics.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +109,6 @@ class CellResult:
     ks: float = np.nan
     rho_max: float = np.nan
     residual_max: float = np.nan
-    runtime: float = 0.0
     trusted: bool = False
     error: str = ""
 
@@ -123,7 +122,7 @@ class ComparisonReport:
     total_runtime: float
 
     def write_csv(self, fh) -> None:
-        # runtime lives in the manifest: payloads must be byte-reproducible
+        # total_runtime lives in the manifest's trace: payloads must be byte-reproducible
         fh.write("n,N,trial,d_value,d_tail,ks,rho_max,residual_max,trusted,error\n")
         for r in self.rows:
             fh.write("%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%s\n" % (
@@ -141,7 +140,6 @@ class ComparisonReport:
             "master_seed": self.spec.master_seed,
             "medians": {f"{n}x{N}": vals for (n, N), vals in self.medians.items()},
             "curve_mass": {f"{n}x{N}": m for (n, N), m in self.curve_mass.items()},
-            "total_runtime_s": self.total_runtime,
         }
 
 
@@ -149,7 +147,7 @@ def _size_seed(master_seed: int, n: int, N: int) -> int:
     return int(np.random.SeedSequence([int(master_seed), int(n), int(N)]).generate_state(1)[0])
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ComparisonReport:
+def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
     """Execute every (size, trial) cell; failures are recorded, never fatal."""
     t_start = time.perf_counter()
     rows: list[CellResult] = []
@@ -170,20 +168,13 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ComparisonReport:
         trusted_cell = certified(diag.residual_max, diag.rho_max, spec.solver.tol)
         seed = _size_seed(spec.master_seed, n, N)
         spectra = empirical_spectrum(profile, spec.sampler, None, spec.trials, seed=seed)
-
-        def one_trial(t: int) -> CellResult:
-            t0 = time.perf_counter()
-            dm = d_metric(spectra[t], curve)
-            ks = ks_distance(spectra[t], curve)
-            return CellResult(n=n, N=N, trial=t, d_value=dm.value, d_tail=dm.tail_bound,
-                              ks=ks, rho_max=diag.rho_max, residual_max=diag.residual_max,
-                              runtime=time.perf_counter() - t0, trusted=trusted_cell)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                cell_rows = list(pool.map(one_trial, range(spec.trials)))
-        else:
-            cell_rows = [one_trial(t) for t in range(spec.trials)]
+        cell_rows = []
+        for t, spectrum in enumerate(spectra):
+            dm = d_metric(spectrum, curve)
+            cell_rows.append(CellResult(
+                n=n, N=N, trial=t, d_value=dm.value, d_tail=dm.tail_bound,
+                ks=ks_distance(spectrum, curve), rho_max=diag.rho_max,
+                residual_max=diag.residual_max, trusted=trusted_cell))
         rows.extend(cell_rows)
         good = [r for r in cell_rows if r.trusted]
         if good:

@@ -128,10 +128,6 @@ class DMetricResult:
     value: float
     tail_bound: float
 
-    @property
-    def upper(self) -> float:
-        return self.value + self.tail_bound
-
 
 def d_metric(F, G, i_max: int = DEFAULT_I_MAX) -> DMetricResult:
     """Truncated test-function metric; the true value lies in [value, value + tail]."""

@@ -1,7 +1,9 @@
 """Simulation of the weighted sample covariance matrix and its spectrum.
 
 Entries are standardized (mean 0, variance 1) from a small set of families;
-the truncation/centering/rescaling pipeline reproduces the bounded-entry
+an EntrySampler names the family (real or complex) and holds no seed: the
+seed is an argument of empirical_spectrum, one substream per trial.  The
+truncation/centering/rescaling pipeline reproduces the bounded-entry
 reduction: clip at eta_n sqrt(n), subtract the exact truncated mean of the
 family, divide by the exact truncated standard deviation.  Exact moments
 (closed forms or atom enumeration) are used rather than sample means; a
@@ -33,21 +35,18 @@ class ConvergenceFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class EntrySampler:
-    """Family of iid standardized entries plus the seed that reproduces them.
+    """Family of iid standardized entries.
 
     With complex_entries the real and imaginary parts are independent family
     draws scaled by 1/sqrt(2), so each part has variance 1/2.
     """
 
     family: str
-    seed: int = 0
     complex_entries: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 def _draw_real(rng: np.random.Generator, family: str, shape) -> np.ndarray:
@@ -161,11 +160,9 @@ def truncated_moments(sampler: EntrySampler, threshold: float) -> TruncatedMomen
 
 @dataclass(frozen=True)
 class TruncationPipelineConfig:
-    """Clip level multiplier and which pipeline stages to apply."""
+    """Clip level multiplier of the pipeline."""
 
     eta_n: float
-    apply_center: bool = True
-    apply_rescale: bool = True
 
     def __post_init__(self):
         if not self.eta_n > 0:
@@ -210,16 +207,15 @@ def truncate_center_rescale(X: np.ndarray, cfg: TruncationPipelineConfig,
         sigma2 = float(np.mean(np.abs(clipped - mean) ** 2))
     shift = mean if np.iscomplexobj(X) else mean.real
 
-    out = clipped - shift if cfg.apply_center else clipped
+    out = clipped - shift
     sigma = math.sqrt(max(sigma2, 0.0))
     degenerate = 0
-    if cfg.apply_rescale:
-        if sigma < _DEGENERATE_SIGMA:
-            out = np.zeros_like(out)
-            degenerate = out.size
-            sigma = 0.0
-        else:
-            out = out / sigma
+    if sigma < _DEGENERATE_SIGMA:
+        out = np.zeros_like(out)
+        degenerate = out.size
+        sigma = 0.0
+    else:
+        out = out / sigma
     return PipelineResult(matrix=out, truncated_mask=mask, degenerate_count=degenerate,
                           mean=complex(mean), sigma=sigma, threshold=T)
 

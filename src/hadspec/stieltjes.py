@@ -4,7 +4,9 @@ The boundary density at x is (1/pi) lim Im G(x + i eta) as eta -> 0+; the
 artifact evaluates Im G on a descending eta schedule and extrapolates.
 Horizontal-line inversion conserves total mass exactly at fixed eta, so the
 CDF is the trapezoid accumulation of the extrapolated density plus any point
-mass detected at zero by mass deficit.
+mass detected at zero by mass deficit.  Trapezoids join only neighbouring
+grid points: a gap (uncertified points) adds no mass, and the CDF is flat
+across it.
 
 Both inversions run one batched sweep down the eta schedule: the density
 on its x grid, interval masses on the nodes of 8-point Gauss-Legendre
@@ -157,8 +159,8 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
     Grid points are independent and are iterated in one data-parallel sweep
     per eta level, warm-starting each level from the previous one
     (continuation in descending v).  Points not certified at a level used by
-    the extrapolation are gaps: the curve is partial and books no atom, so
-    the mass the gaps lose stays missing instead of becoming a point mass.
+    the extrapolation are gaps: the curve is partial, books no atom and adds
+    no mass across a gap, so the mass the gaps lose stays missing.
     """
     scfg = solver_cfg or SolverConfig()
     xs = cfg.x_grid
@@ -179,11 +181,12 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
 
     if len(xs_ok) < 2:
         raise QuadratureStallError("too few converged grid points to integrate a density")
-    mass = float(np.trapezoid(density, xs_ok))
-    deficit = 1.0 - mass
+    # the arithmetic of np.trapezoid, with a step across a gap set to 0
+    steps = np.diff(xs_ok) * (density[1:] + density[:-1]) / 2.0
+    steps[np.diff(np.flatnonzero(good)) > 1] = 0.0
+    deficit = 1.0 - float(steps.sum())
     atom = deficit if deficit > _ATOM_THRESHOLD and not failed else 0.0
-    cdf = np.concatenate([[0.0], np.cumsum(np.diff(xs_ok) * (density[1:] + density[:-1]) / 2.0)])
-    cdf = cdf + atom * (xs_ok >= 0.0)
+    cdf = np.concatenate([[0.0], np.cumsum(steps)]) + atom * (xs_ok >= 0.0)
 
     curve = DensityCurve(xs=xs_ok, density=density, cdf=cdf,
                          eta_used=etas, atom_at_zero=atom, failed_xs=failed)

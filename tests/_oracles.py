@@ -90,11 +90,11 @@ def cross_contraction_matrix(profile, e, e_bar, z) -> np.ndarray:
 
 # -- random matrices and their matched-sample distance ------------------------
 
-def sample_matrix(n: int, N: int, sampler) -> np.ndarray:
+def sample_matrix(n: int, N: int, sampler, seed: int) -> np.ndarray:
     """Reproducible n x N matrix of iid standardized entries."""
     if n < 1 or N < 1:
         raise ValueError("need n, N >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(sampler.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     return _draw(rng, n, N, sampler)
 
 

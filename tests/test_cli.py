@@ -202,7 +202,71 @@ class TestCompareCommand:
         assert "median ks" in capsys.readouterr().out
 
 
+class TestCompareManifest:
+    def test_identical_runs_share_config_hash(self, tmp_path):
+        # the wall time goes to the unhashed trace block, not the options
+        args = ["compare", "--generator", "constant", "--sizes", "16x16", "--trials", "2",
+                "--seed", "1", "--jobs", "1"]
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert run_cli(args + ["-o", a]) == 0
+        assert run_cli(args + ["-o", b]) == 0
+        ma, mb = read_json(a + ".manifest.json"), read_json(b + ".manifest.json")
+        assert ma["config_hash"] == mb["config_hash"]
+        assert "total_runtime_s" not in ma["options"]
+        assert ma["trace"]["total_runtime_s"] > 0
+        assert ma["options"]["curve_mass"] == mb["options"]["curve_mass"]
+
+
+def config_matches_flags(tmp_path, command, keys, payload):
+    """Run command with keys given as flags, then as a config file.
+
+    Asserts that the two payloads are the same bytes; returns the options
+    of the two manifests.
+    """
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[run]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    as_flags = [tok for k, v in keys.items() for tok in (f"--{k.replace('_', '-')}", v)]
+    a, b = str(tmp_path / "flags"), str(tmp_path / "config")
+    assert run_cli([command] + as_flags + ["-o", a]) == 0
+    assert run_cli([command, "--config", str(cfg), "-o", b]) == 0
+    assert read_text(payload(a)) == read_text(payload(b))
+    return read_json(a + ".manifest.json")["options"], read_json(b + ".manifest.json")["options"]
+
+
 class TestConfigAndEnv:
+    def test_density_config_equals_flags(self, tmp_path):
+        keys = {"profile": "iid_uniform:0,2", "n": "12", "N": "16", "seed": "5",
+                "tol": "1e-11", "max_iter": "5000", "xmin": "-0.4", "xmax": "5.0",
+                "points": "31", "eta": "2e-2,1e-2"}
+        flags, config = config_matches_flags(tmp_path, "density", keys, lambda out: out)
+        assert flags == config
+        assert config["eta"] == [2e-2, 1e-2] and config["points"] == 31
+        assert config["profile"] == "iid_uniform:0,2" and config["seed"] == 5
+
+    def test_compare_config_equals_flags(self, tmp_path):
+        keys = {"generator": "iid_uniform:0.5,1.5", "sizes": "12x12,16x16", "seed": "4",
+                "family": "gaussian", "trials": "2", "epsilon": "0.3", "jobs": "2",
+                "tol": "1e-11", "max_iter": "5000", "eta": "2e-2,1e-2"}
+        flags, config = config_matches_flags(tmp_path, "compare", keys, lambda out: out + ".csv")
+        assert flags == config
+        assert config["sizes"] == [[12, 12], [16, 16]] and config["family"] == "gaussian"
+
+    def test_mp_check_reads_c_and_N(self, tmp_path, capsys):
+        cfg = tmp_path / "mp.ini"
+        cfg.write_text("[mp]\nc = 0.5\nN = 32\n")
+        assert run_cli(["mp-check", "--z", "1+0.5i", "--config", str(cfg)]) == 0
+        cfg.write_text("[mp]\nc = 0.33\nN = 10\n")
+        assert run_cli(["mp-check", "--config", str(cfg)]) == 2
+        assert "--c 0.33 with --N 10" in capsys.readouterr().err
+
+    def test_malformed_config_value_exits_2(self, tmp_path):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[run]\ntrials = x\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--profile", "ones", "--n", "4", "--N", "4",
+                  "--config", str(cfg)])
+        assert exc.value.code == 2
+
     def test_config_merged_under_flags(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text("[run]\nseed = 7\n\n[profile]\nn = 8\nN = 8\n")

@@ -12,7 +12,7 @@ def small_spec(generator="constant", sizes=((24, 24),), trials=2, epsilon=0.25, 
     return ExperimentSpec(
         profile_generator=generator,
         sizes=sizes,
-        sampler=EntrySampler("rademacher", seed=0),
+        sampler=EntrySampler("rademacher"),
         epsilon=epsilon,
         trials=trials,
         master_seed=seed,
@@ -80,12 +80,6 @@ class TestRunExperiment:
         a.write_csv(buf_a)
         b.write_csv(buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
-
-    def test_workers_do_not_change_results(self):
-        a = run_experiment(small_spec(trials=3), workers=1)
-        b = run_experiment(small_spec(trials=3), workers=3)
-        for ra, rb in zip(a.rows, b.rows):
-            assert ra.ks == rb.ks and ra.d_value == rb.d_value
 
     def test_spiked_with_covering_budget_matches_background(self):
         # removing all spikes makes the spiked run's comparison match the

@@ -129,7 +129,7 @@ class TestDensityCurve:
 
     def test_partial_curve_books_no_atom(self):
         # c = 1: no atom.  45 of 59 points fail under a 6-step budget; their
-        # lost mass (total 0.106 remains) must stay missing, not be booked as
+        # lost mass (total 0.003 remains) must stay missing, not be booked as
         # an atom at zero
         ones = validate_profile(np.ones((16, 16)))
         grid = edge_refined_grid(-0.5, 4.5, n_uniform=41, n_edge=10)
@@ -138,6 +138,21 @@ class TestDensityCurve:
         assert curve.partial
         assert curve.atom_at_zero == 0.0
         assert curve.total_mass < 0.5
+
+    @pytest.mark.parametrize("max_iter", [6, 7, 8, 9])
+    def test_partial_curve_adds_no_mass_across_gaps(self, max_iter):
+        # trapezoids across the gaps once gave masses 0.106, 3.258, 1.483 and
+        # 1.0087 at these budgets, beside the full curve's 1.0077: one step
+        # beside the spike at 0 spanned x = 0.04 to 4.0
+        ones = validate_profile(np.ones((16, 16)))
+        cfg = InversionConfig(x_grid=edge_refined_grid(-0.5, 4.5, n_uniform=41, n_edge=10))
+        full = density_curve(ones, cfg)
+        curve = density_curve(ones, cfg, SolverConfig(max_iter=max_iter))
+        assert curve.partial and not full.partial
+        assert curve.total_mass <= full.total_mass
+        across = np.diff(np.searchsorted(cfg.x_grid, curve.xs)) > 1
+        assert across.any()
+        assert np.all(np.diff(curve.cdf)[across] == 0.0)
 
     def test_default_grid_column_iterations(self):
         # 242 points x 3 eta levels at rho(C0) ~ 0.998: an iteration that

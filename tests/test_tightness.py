@@ -176,7 +176,7 @@ class TestTruncateProfile:
         p, entries = spiked_profile(rng, 16, 20, 5, 40.0)
         plan = plan_truncation(p, 0.5)
         truncated = truncate_profile(p, plan.M)
-        X = sample_matrix(16, 20, EntrySampler("gaussian", seed=1))
+        X = sample_matrix(16, 20, EntrySampler("gaussian"), 1)
         diff = (p.entries - truncated.entries) * X
         rank = np.linalg.matrix_rank(diff)
         assert rank <= plan.lines_used
@@ -190,7 +190,7 @@ class TestTruncateProfile:
         eps = 0.1
         plan = plan_truncation(p, eps)
         truncated = truncate_profile(p, plan.M)
-        X = sample_matrix(n, N, EntrySampler("rademacher", seed=3))
+        X = sample_matrix(n, N, EntrySampler("rademacher"), 3)
         F = EmpiricalDistribution(hermitian_eigenvalues(build_B(p, X)))
         G = EmpiricalDistribution(hermitian_eigenvalues(build_B(truncated, X)))
         assert ks_distance(F, G) <= eps + 1e-12
