@@ -9,7 +9,7 @@ Every file-writing command writes atomically (temp file + rename) and drops
 a JSON manifest next to each output recording the resolved options, their
 hash, the seed, and the package version.  Identical argv + config produce
 byte-identical CSV payloads and the same config_hash; manifests differ at
-most in their timestamp and their trace block (compare's wall time).
+most in their timestamp and their trace block (compare's stage wall times).
 """
 
 from __future__ import annotations
@@ -116,12 +116,19 @@ CONFIG_KEYS = frozenset(("seed", "jobs", "tol", "max_iter", "n", "N", "profile",
 
 
 def load_config(path: str) -> dict:
-    """Flat key -> string map of an INI file, restricted to CONFIG_KEYS."""
+    """Flat key -> string map of an INI file, restricted to CONFIG_KEYS.
+
+    A missing or unparsable file is a usage error.
+    """
     if not os.path.exists(path):
         raise UsageError(f"--config file not found: {path}")
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep case: n and N are distinct keys
-    parser.read(path)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:
+        # configparser's messages span lines; the usage error is one
+        raise UsageError(f"--config {path}: {' '.join(str(exc).split())}") from exc
     flat: dict = {}
     for section in parser.sections():
         flat.update(dict(parser.items(section)))
@@ -228,7 +235,7 @@ def cmd_compare(args) -> int:
     csv_path = args.out + ".csv"
     atomic_write(csv_path, report.write_csv)
     write_manifest(args.out + ".manifest.json", "compare", report.to_manifest(), [csv_path],
-                   trace={"total_runtime_s": report.total_runtime})
+                   trace=report.to_trace())
     for (n, N), med in report.medians.items():
         print(f"{n}x{N}: median ks={med['ks']:.4f} d={med['d_value']:.6f}")
     failures = [r for r in report.rows if r.error]

@@ -7,6 +7,15 @@ per trial, and compare.  The cells run one after another in one thread.
 Medians across trials per size are the finite-n evidence for the
 vanishing-distance statement; rows failing the residual or spectral-radius
 certificate are excluded from trend statistics.
+
+The inversion reads the truncated profile only through its reduced map,
+its aspect ratio and its row weights row_mult / n, so a later size whose
+truncated profile matches an earlier one on all of them, and on the grid,
+reuses that size's curve, diagnostics and test-function integrals
+instead of inverting again (constant and block profiles: one inversion
+per run).  The reused curve is the same mathematical curve; its rounding
+can differ from a fresh inversion's in the last digit, since G sums
+(row_mult @ x) / n.  The record lives for one run only.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import numpy as np
 
 from .core import WeightProfile, validate_profile
 from .fixed_point import SolverConfig, certified
-from .metrics import d_metric, ks_distance
+from .metrics import TestIntegrals, d_metric, ks_distance
 from .random_spectra import EntrySampler, empirical_spectrum
 from .stieltjes import (DEFAULT_ETAS, InversionConfig, _eta_schedule, density_curve,
                         edge_refined_grid)
@@ -120,6 +129,7 @@ class ComparisonReport:
     medians: dict          # (n, N) -> {"ks": ..., "d_value": ...} over trusted rows
     curve_mass: dict       # (n, N) -> total mass of the inverted curve
     total_runtime: float
+    stages: dict           # (n, N) -> stage wall times in s, and curve_reused_from
 
     def write_csv(self, fh) -> None:
         # total_runtime lives in the manifest's trace: payloads must be byte-reproducible
@@ -142,39 +152,83 @@ class ComparisonReport:
             "curve_mass": {f"{n}x{N}": m for (n, N), m in self.curve_mass.items()},
         }
 
+    def to_trace(self) -> dict:
+        """How the run went, for the manifest's unhashed trace block: wall
+        times in seconds per size and stage (plan_s includes building the
+        profile, invert_s the curve's test-function integrals), and the
+        size whose curve a size reused (None when it inverted its own)."""
+        return {
+            "total_runtime_s": self.total_runtime,
+            "cells": {f"{n}x{N}": rec for (n, N), rec in self.stages.items()},
+        }
+
 
 def _size_seed(master_seed: int, n: int, N: int) -> int:
     return int(np.random.SeedSequence([int(master_seed), int(n), int(N)]).generate_state(1)[0])
 
 
+def _inversion_key(profile: WeightProfile, xs: np.ndarray) -> tuple:
+    """What an inversion on grid xs depends on: c, the reduced map, the row
+    weights that sum G, and xs; arrays compare as exact bytes."""
+    red = profile.reduced
+    return (profile.c, red.inner.shape, red.inner.tobytes(), red.outer.tobytes(),
+            (red.row_mult / profile.n).tobytes(), xs.tobytes())
+
+
+def _lap(stage: dict, name: str, since: float) -> float:
+    """Book the wall time since `since` as stage[name]; return the time now."""
+    now = time.perf_counter()
+    stage[name] = now - since
+    return now
+
+
 def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
-    """Execute every (size, trial) cell; failures are recorded, never fatal."""
+    """Execute every (size, trial) cell; failures are recorded, never fatal.
+
+    A size whose truncated profile and grid give an earlier size's
+    inversion key reuses that inversion (see the module docstring).
+    """
     t_start = time.perf_counter()
     rows: list[CellResult] = []
     medians: dict = {}
     curve_mass: dict = {}
+    stages: dict = {}
+    inversions: dict = {}   # inversion key -> (size, curve, diag, curve integrals)
     for n, N in spec.sizes:
+        stage = stages[(n, N)] = {"curve_reused_from": None}
+        t = time.perf_counter()
         profile = make_profile(spec.profile_generator, n, N, spec.master_seed)
         try:
             plan = plan_truncation(profile, spec.epsilon)
             truncated = truncate_profile(profile, max(plan.M, np.finfo(float).tiny))
-            cfg = InversionConfig(x_grid=default_x_grid(truncated), eta_sequence=spec.eta_sequence)
-            curve, diag = density_curve(truncated, cfg, spec.solver, with_diagnostics=True)
+            t = _lap(stage, "plan_s", t)
+            xs = default_x_grid(truncated)
+            key = _inversion_key(truncated, xs)
+            if key in inversions:
+                stage["curve_reused_from"] = inversions[key][0]
+            else:
+                cfg = InversionConfig(x_grid=xs, eta_sequence=spec.eta_sequence)
+                curve, diag = density_curve(truncated, cfg, spec.solver, with_diagnostics=True)
+                inversions[key] = (f"{n}x{N}", curve, diag, TestIntegrals.of(curve))
+            _, curve, diag, curve_integrals = inversions[key]
+            t = _lap(stage, "invert_s", t)
         except (ZeroColumnAfterTruncationError, ValueError, RuntimeError) as exc:
-            rows.extend(CellResult(n=n, N=N, trial=t, error=f"{type(exc).__name__}: {exc}")
-                        for t in range(spec.trials))
+            rows.extend(CellResult(n=n, N=N, trial=trial, error=f"{type(exc).__name__}: {exc}")
+                        for trial in range(spec.trials))
             continue
         curve_mass[(n, N)] = curve.total_mass
         trusted_cell = certified(diag.residual_max, diag.rho_max, spec.solver.tol)
         seed = _size_seed(spec.master_seed, n, N)
         spectra = empirical_spectrum(profile, spec.sampler, None, spec.trials, seed=seed)
+        t = _lap(stage, "simulate_s", t)
         cell_rows = []
-        for t, spectrum in enumerate(spectra):
-            dm = d_metric(spectrum, curve)
+        for trial, spectrum in enumerate(spectra):
+            dm = d_metric(spectrum, curve_integrals)
             cell_rows.append(CellResult(
-                n=n, N=N, trial=t, d_value=dm.value, d_tail=dm.tail_bound,
+                n=n, N=N, trial=trial, d_value=dm.value, d_tail=dm.tail_bound,
                 ks=ks_distance(spectrum, curve), rho_max=diag.rho_max,
                 residual_max=diag.residual_max, trusted=trusted_cell))
+        _lap(stage, "compare_s", t)
         rows.extend(cell_rows)
         good = [r for r in cell_rows if r.trusted]
         if good:
@@ -184,4 +238,4 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
             }
     return ComparisonReport(spec=spec, rows=tuple(rows), medians=medians,
                             curve_mass=curve_mass,
-                            total_runtime=time.perf_counter() - t_start)
+                            total_runtime=time.perf_counter() - t_start, stages=stages)

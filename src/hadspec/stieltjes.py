@@ -151,6 +151,19 @@ def _sweep(profile: WeightProfile, xs: np.ndarray, etas: tuple, scfg: SolverConf
     return np.array(im), np.array(ok), tuple(levels)
 
 
+def _trapezoid_steps(xs: np.ndarray, y: np.ndarray, failed_xs=()) -> np.ndarray:
+    """Trapezoid areas of y over each step of xs (y's last axis), 0 across a gap.
+
+    A gap is a step whose interval holds a point of failed_xs.  The rule of
+    the density's CDF and of the metric's curve integrals; without gaps the
+    steps sum to np.trapezoid(y, xs, axis=-1) bit for bit.
+    """
+    steps = np.diff(xs) * (y[..., 1:] + y[..., :-1]) / 2.0
+    after = np.searchsorted(xs, failed_xs)
+    steps[..., after[(after > 0) & (after < len(xs))] - 1] = 0.0
+    return steps
+
+
 def density_curve(profile: WeightProfile, cfg: InversionConfig,
                   solver_cfg: SolverConfig | None = None,
                   with_diagnostics: bool = False):
@@ -181,9 +194,7 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
 
     if len(xs_ok) < 2:
         raise QuadratureStallError("too few converged grid points to integrate a density")
-    # the arithmetic of np.trapezoid, with a step across a gap set to 0
-    steps = np.diff(xs_ok) * (density[1:] + density[:-1]) / 2.0
-    steps[np.diff(np.flatnonzero(good)) > 1] = 0.0
+    steps = _trapezoid_steps(xs_ok, density, failed)
     deficit = 1.0 - float(steps.sum())
     atom = deficit if deficit > _ATOM_THRESHOLD and not failed else 0.0
     cdf = np.concatenate([[0.0], np.cumsum(steps)]) + atom * (xs_ok >= 0.0)

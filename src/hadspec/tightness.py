@@ -8,10 +8,13 @@ holding every entry equal to the surviving maximum can lower it: at most
 one line when the maximum is attained more than once, exactly two (the
 entry's row and column) when it is attained once.  So a step is one pass
 over the surviving block, and a plan costs O(budget * n * N) instead of
-the O(budget * (n + N) * n * N) of rescanning for every line.  Downstream
-consumers only need a feasible plan, not an optimal one; minimizing M under
-a line budget is a combinatorial problem this module deliberately does not
-solve, and a brute-force oracle bounds the greedy gap in tests.
+the O(budget * (n + N) * n * N) of rescanning for every line.  Peeling
+stops once the budget left cannot clear every maximum-attaining entry, so
+a flat or block profile costs one step, not a budget of peels that would
+all be rolled back.  Downstream consumers only need a feasible plan, not
+an optimal one; minimizing M under a line budget is a combinatorial
+problem this module deliberately does not solve, and a brute-force oracle
+bounds the greedy gap in tests.
 """
 
 from __future__ import annotations
@@ -72,6 +75,13 @@ def plan_truncation(profile: WeightProfile, epsilon: float) -> TruncationPlan:
     drop of the maximum are rolled back, so an already-flat profile removes
     nothing.
 
+    A peel clears at most L maximum-attaining entries, L the most any
+    surviving line holds, and peeling never raises a line's count while
+    the maximum stands.  So once ceil(total / L) exceeds the peels left,
+    total the entries attaining the maximum, no strict drop can follow and
+    the loop stops: the plan is the one the full budget of peels would
+    roll back to.
+
     Only lines holding every maximum-attaining entry lower the maximum, so
     a step scores no other line.  A maximum attained more than once has at
     most one such line, and it is also the best cover; a maximum attained
@@ -100,6 +110,9 @@ def plan_truncation(profile: WeightProfile, epsilon: float) -> TruncationPlan:
         total = int(row_hits.sum())
         j = int(np.argmax(row_hits))
         i, k = int(hit_rows[j]), int(np.argmax(col_hits))
+        # too few peels left to clear every maximum: no strict drop can follow
+        if -(-total // max(row_hits[j], col_hits[k])) > budget - len(removals):
+            break
         if row_hits[j] >= col_hits[k]:
             kind, idx, hits = "row", i, row_hits[j]
         else:

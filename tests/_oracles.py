@@ -3,7 +3,8 @@
 Everything here is implemented from scratch against closed forms or brute
 force, never by calling the code under test.  The exceptions are former
 implementations kept as references for their faster rewrites: the rescan
-planner, which shares only the TruncationPlan container; the adaptive
+planner, which shares only the TruncationPlan container; the one-pass
+planner without its early stop; the adaptive
 quadrature of interval masses, which calls the scalar solver where the
 rewrite runs batched sweeps; the column-major Anderson kernel, which
 shares the reduced map and the mixing constants with its rewrite; the
@@ -265,6 +266,55 @@ def greedy_plan_rescan(profile, epsilon: float):
     M = _masked_max(entries, row_ok, col_ok)
     return TruncationPlan(epsilon=epsilon, M=M, rows_removed=rows,
                           cols_removed=cols, budget=budget)
+
+
+def plan_truncation_full_loop(profile, epsilon: float):
+    """The one-pass greedy planner without its early stop: it spends the whole
+    budget of peels and then rolls back past the last strict drop.
+    hadspec.tightness.plan_truncation, which stops once the peels left cannot
+    clear every maximum, must return the same plan.
+    """
+    if not (0 < epsilon < 1):
+        raise ValueError("epsilon must lie in (0, 1)")
+    budget = int(np.floor(epsilon * profile.n))
+    entries = profile.entries
+    work = entries.copy()                  # peeled lines hold -inf
+    removals: list[tuple[str, int]] = []
+    last_drop = 0
+
+    while len(removals) < budget:
+        row_max = work.max(axis=1)
+        current = row_max.max()
+        if not current > 0:
+            break
+        hit_rows = np.flatnonzero(row_max == current)
+        at_max = work[hit_rows] == current
+        row_hits = at_max.sum(axis=1)
+        col_hits = at_max.sum(axis=0)
+        total = int(row_hits.sum())
+        j = int(np.argmax(row_hits))
+        i, k = int(hit_rows[j]), int(np.argmax(col_hits))
+        if row_hits[j] >= col_hits[k]:
+            kind, idx, hits = "row", i, row_hits[j]
+        else:
+            kind, idx, hits = "col", k, col_hits[k]
+        if total == 1 and (np.delete(work.max(axis=0), k).max(initial=0.0)
+                           < np.delete(row_max, i).max(initial=0.0)):
+            kind, idx = "col", k
+        if kind == "row":
+            work[idx, :] = -np.inf
+        else:
+            work[:, idx] = -np.inf
+        removals.append((kind, idx))
+        if hits == total:
+            last_drop = len(removals)
+
+    removals = removals[:last_drop]
+    rows = tuple(idx for kind, idx in removals if kind == "row")
+    cols = tuple(idx for kind, idx in removals if kind == "col")
+    kept = np.delete(np.delete(entries, rows, axis=0), cols, axis=1)
+    return TruncationPlan(epsilon=epsilon, M=float(kept.max(initial=0.0)),
+                          rows_removed=rows, cols_removed=cols, budget=budget)
 
 
 # -- interval mass by adaptive quadrature over scalar solves ------------------

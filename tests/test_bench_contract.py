@@ -5,7 +5,8 @@ the output checks fail or when the layers' self times do not add up to the
 pass's wall time, which happens when a library call runs on a thread the
 tracer cannot attach to the pass.  This runs one plain and one traced pass
 per workload through perfbench's own modules and asserts both conditions
-exactly.
+exactly.  The compare pass must also invert once: its two block sizes
+share one reduced map.
 """
 
 import sys
@@ -32,3 +33,6 @@ def test_traced_pass_is_one_tree_and_checks_pass(workload, tmp_path):
     assert all(s.parent is not None for s in tracer.spans if s is not root)
     wall = root.end - root.start
     assert sum(spans.self_times(tracer.spans)) == pytest.approx(wall, rel=1e-9)
+    if workload == "compare":
+        # both block sizes share one reduced map, so the pass inverts once
+        assert spans.summarize(tracer.spans)["stieltjes.density_curve.calls"] == 1

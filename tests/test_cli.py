@@ -204,17 +204,22 @@ class TestCompareCommand:
 
 class TestCompareManifest:
     def test_identical_runs_share_config_hash(self, tmp_path):
-        # the wall time goes to the unhashed trace block, not the options
-        args = ["compare", "--generator", "constant", "--sizes", "16x16", "--trials", "2",
+        # wall times and curve reuse go to the unhashed trace block, not the options
+        args = ["compare", "--generator", "constant", "--sizes", "16x16,24x24", "--trials", "2",
                 "--seed", "1", "--jobs", "1"]
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         assert run_cli(args + ["-o", a]) == 0
         assert run_cli(args + ["-o", b]) == 0
         ma, mb = read_json(a + ".manifest.json"), read_json(b + ".manifest.json")
         assert ma["config_hash"] == mb["config_hash"]
-        assert "total_runtime_s" not in ma["options"]
+        assert "total_runtime_s" not in ma["options"] and "cells" not in ma["options"]
         assert ma["trace"]["total_runtime_s"] > 0
         assert ma["options"]["curve_mass"] == mb["options"]["curve_mass"]
+        cells = ma["trace"]["cells"]
+        assert cells["16x16"]["curve_reused_from"] is None
+        assert cells["24x24"]["curve_reused_from"] == "16x16"   # a constant sweep inverts once
+        for rec in cells.values():
+            assert all(rec[k] >= 0 for k in ("plan_s", "invert_s", "simulate_s", "compare_s"))
 
 
 def config_matches_flags(tmp_path, command, keys, payload):
@@ -295,6 +300,17 @@ class TestConfigAndEnv:
                  "--family", "rademacher", "--trials", "1", "--seed", "11", "-o", out])
         manifest = read_json(out + ".manifest.json")
         assert manifest["options"]["seed"] == 99
+
+    @pytest.mark.parametrize("text", ["seed = 3\n",                       # no [section]
+                                      "[run]\nseed = 3\n[run]\nseed = 4\n",  # section twice
+                                      "[run]\nseed 3\n"])                  # no '='
+    def test_unparsable_config_is_usage_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert run_cli(["mp-check", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --config {cfg}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_missing_config_is_usage_error(self, capsys):
         status = run_cli(["simulate", "--profile", "ones", "--n", "4", "--N", "4",

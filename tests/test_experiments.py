@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from hadspec import EntrySampler, ExperimentSpec, make_profile, run_experiment
+from hadspec import EntrySampler, ExperimentSpec, experiments, make_profile, run_experiment
 from hadspec.experiments import default_x_grid
 
 
@@ -105,6 +105,67 @@ class TestRunExperiment:
         m = report.to_manifest()
         assert m["generator"] == "constant"
         assert "24x24" in m["medians"]
+
+
+class TestInversionReuse:
+    """One inversion per distinct reduced map within a run."""
+
+    @staticmethod
+    def count_inversions(monkeypatch):
+        calls = []
+        real = experiments.density_curve
+
+        def counting(profile, *args, **kwargs):
+            calls.append((profile.n, profile.N))
+            return real(profile, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "density_curve", counting)
+        return calls
+
+    @pytest.mark.parametrize("generator, inversions", [("block:0.5,1.5", 1),
+                                                       ("constant", 1),
+                                                       ("iid_uniform:0,2", 2)])
+    def test_inversions_per_sweep(self, monkeypatch, generator, inversions):
+        calls = self.count_inversions(monkeypatch)
+        report = run_experiment(small_spec(generator, sizes=((64, 64), (96, 96))))
+        assert len(calls) == inversions
+        reused = report.stages[(96, 96)]["curve_reused_from"]
+        assert reused == ("64x64" if inversions == 1 else None)
+        assert report.stages[(64, 64)]["curve_reused_from"] is None
+        assert all(r.error == "" and r.trusted for r in report.rows)
+
+    def test_every_run_starts_empty(self, monkeypatch):
+        calls = self.count_inversions(monkeypatch)
+        for _ in range(2):
+            run_experiment(small_spec("block:0.5,1.5", sizes=((64, 64), (96, 96))))
+        assert len(calls) == 2
+
+    def test_other_shape_or_bands_invert_again(self, monkeypatch):
+        # 96x48 has another aspect ratio; block:1,3,2 splits 64 and 96
+        # rows into unequal band weights (22/21/21 against 32/32/32)
+        calls = self.count_inversions(monkeypatch)
+        run_experiment(small_spec("block:0.5,1.5", sizes=((64, 64), (96, 48))))
+        run_experiment(small_spec("block:1,3,2", sizes=((64, 64), (96, 96))))
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("generator", ["block:0.5,1.5", "constant"])
+    def test_reused_size_matches_standalone_run(self, generator):
+        sweep = run_experiment(small_spec(generator, sizes=((64, 64), (96, 96)), trials=3))
+        alone = run_experiment(small_spec(generator, sizes=((96, 96),), trials=3))
+        assert sweep.stages[(96, 96)]["curve_reused_from"] == "64x64"
+        reused = [r for r in sweep.rows if (r.n, r.N) == (96, 96)]
+        assert len(reused) == len(alone.rows) == 3
+        for a, b in zip(reused, alone.rows):
+            assert a.ks == b.ks and a.trusted == b.trusted
+            # the same curve up to rounding: G sums (row_mult @ x) / n
+            assert a.d_value == pytest.approx(b.d_value, rel=0, abs=1e-15)
+
+    def test_stage_times_add_up(self):
+        trace = run_experiment(small_spec("constant", sizes=((16, 16), (24, 24)))).to_trace()
+        stages = ("plan_s", "invert_s", "simulate_s", "compare_s")
+        times = [rec[k] for rec in trace["cells"].values() for k in stages]
+        assert len(times) == 8 and min(times) >= 0
+        assert sum(times) <= trace["total_runtime_s"]
 
 
 class TestTrendProperty:

@@ -10,7 +10,10 @@ from hadspec import (
     d_metric,
     ks_distance,
 )
+from hadspec import SolverConfig, validate_profile
 from hadspec.core import LengthMismatchError
+from hadspec.metrics import TestIntegrals
+from hadspec.stieltjes import InversionConfig, density_curve, edge_refined_grid
 
 from _oracles import (
     d_metric_reference,
@@ -169,6 +172,40 @@ class TestDMetricMatchesPerFunctionLoop:
             d_metric(delta(0.0), np.array([0.0, 1.0]))
         with pytest.raises(TypeError):
             d_metric([0.0, 1.0], delta(0.0))
+
+
+def _partial_ones_curve(max_iter: int = 7) -> DensityCurve:
+    # ones 16x16 under a 7-step budget: 0.073 of mass left between gaps,
+    # one beside the spike at 0 spanning x = 0.04 to 4.0
+    ones = validate_profile(np.ones((16, 16)))
+    cfg = InversionConfig(x_grid=edge_refined_grid(-0.5, 4.5, n_uniform=41, n_edge=10))
+    return density_curve(ones, cfg, SolverConfig(max_iter=max_iter))
+
+
+class TestCurveIntegrals:
+    def test_partial_curve_adds_nothing_across_gaps(self):
+        curve = _partial_ones_curve()
+        assert curve.partial and curve.total_mass == pytest.approx(0.073, abs=5e-4)
+        # every test function is at most 1: no integral exceeds the curve's
+        # mass (test function 2 once gave 3.252 by spanning the gaps)
+        vals = TestIntegrals.of(curve, 24).values
+        assert vals[1] <= curve.total_mass
+        assert max(vals) <= curve.total_mass
+
+    @pytest.mark.parametrize("i_max", [1, 24, 40])
+    def test_reused_integrals_bit_identical(self, i_max):
+        rng = np.random.default_rng(23)
+        spectra = [EmpiricalDistribution(np.sort(rng.uniform(-0.2, 4.2, k))) for k in (16, 128)]
+        for G in (_mp_curve(0.0), _mp_curve(0.3), _partial_ones_curve(), spectra[0]):
+            cached = TestIntegrals.of(G, i_max)
+            for F in spectra:
+                assert d_metric(F, cached, i_max) == d_metric(F, G, i_max)
+                assert d_metric(cached, F, i_max) == d_metric(G, F, i_max)
+
+    def test_i_max_must_match(self):
+        cached = TestIntegrals.of(_mp_curve(0.0), 24)
+        with pytest.raises(ValueError, match="i_max"):
+            d_metric(delta(1.0), cached, 12)
 
 
 class TestKSDistance:

@@ -14,7 +14,8 @@ from hadspec import (
 from hadspec.experiments import make_profile
 from hadspec.tightness import ZeroColumnAfterTruncationError
 
-from _oracles import brute_force_min_M, greedy_plan_rescan, sample_matrix
+from _oracles import (brute_force_min_M, greedy_plan_rescan, plan_truncation_full_loop,
+                      sample_matrix)
 
 
 def spiked_profile(rng, n, N, k, height):
@@ -142,6 +143,47 @@ def test_matches_rescan_oracle():
         peeled += plan.lines_used > 0
     # the instances reach the all-columns-peeled (M = 0) and peeling paths
     assert all_peeled >= 20 and peeled >= 300
+
+
+class TestEarlyStop:
+    """The planner stops once the peels left cannot clear every maximum;
+    its plans are those of the loop that spends the whole budget."""
+
+    @staticmethod
+    def same_plan(p, eps):
+        plan = plan_truncation(p, eps)
+        assert plan.to_record() == plan_truncation_full_loop(p, eps).to_record()
+        return plan
+
+    @pytest.mark.parametrize("generator", ["constant:2", "block:0.5,1.5", "block:1,3,2",
+                                           "iid_uniform:0,2", "spiked:5,9", "spiked:40,9"])
+    @pytest.mark.parametrize("eps", [0.1, 0.25, 0.6])
+    def test_generators(self, generator, eps):
+        self.same_plan(make_profile(generator, 40, 48, seed=3), eps)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_diagonal_maximum(self, k):
+        # k maxima, one per line: budget 4 clears up to 4 of them
+        entries = np.ones((16, 16))
+        entries[np.arange(k), np.arange(k)] = 5.0
+        plan = self.same_plan(validate_profile(entries), 0.25)
+        assert plan.lines_used == (k if k <= 4 else 0)
+        assert plan.M == (1.0 if k <= 4 else 5.0)
+
+    @pytest.mark.parametrize("eps, lines", [(0.25, 2), (0.2, 0)])
+    def test_boundary_ceil_equals_peels_left(self, eps, lines):
+        # 8 maxima, at most 4 on a line: ceil(8 / 4) = 2.  With 2 peels left
+        # the loop goes on and its second peel drops the maximum; with 1 it stops
+        entries = np.ones((8, 8))
+        entries[0:2, 0:4] = 5.0
+        plan = self.same_plan(validate_profile(entries), eps)
+        assert plan.rows_removed == (0, 1)[:lines] and plan.cols_removed == ()
+        assert plan.M == (1.0 if lines else 5.0)
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(77)
+        for p, eps in _oracle_instances(rng, 540):
+            self.same_plan(p, eps)
 
 
 class TestTruncateProfile:
