@@ -1,5 +1,8 @@
 """Command-line surface: batch solves, density export, simulation, comparison.
 
+solve writes each point's certificate (rho_C0, identity_defect, converged)
+with its solution; density inverts on compare's grid, default_x_grid.
+
 build_parser declares every option once, with its default.  A --config file
 replaces those defaults (main parses argv a second time), so an explicit
 flag beats the config file, which beats the built-in default; HS_SEED
@@ -27,10 +30,10 @@ import numpy as np
 
 from . import __version__
 from .core import SpectralPoint, WeightProfile, ZGrid
-from .experiments import ExperimentSpec, default_xmax, make_profile, run_experiment
-from .fixed_point import SolverConfig, build_certificate, solve_e0, solve_grid
+from .experiments import ExperimentSpec, default_x_grid, make_profile, run_experiment
+from .fixed_point import SolverConfig, solve_e0, solve_grid
 from .random_spectra import EntrySampler, FAMILIES, TruncationPipelineConfig, empirical_spectrum
-from .stieltjes import DEFAULT_ETAS, InversionConfig, density_curve, edge_refined_grid
+from .stieltjes import DEFAULT_ETAS, InversionConfig, density_curve
 from .tightness import plan_truncation
 
 SEED_ENV = "HS_SEED"
@@ -162,19 +165,15 @@ def cmd_solve(args) -> int:
     sols = solve_grid(profile, grid, cfg)
 
     def write(fh):
-        records = [s.to_record() for s in sols]
-        head = []
-        for key, val in records[0].items():
-            head += [f"{key}_{k}" for k in range(len(val))] if isinstance(val, list) else [key]
+        head = ["x", "v", "residual", "rho_C0", "identity_defect", "iterations", "converged",
+                "g_re", "g_im"]
+        head += [f"e0_{part}_{k}" for part in ("re", "im") for k in range(profile.N)]
         fh.write(",".join(head) + "\n")
-        for record in records:
-            row = []
-            for val in record.values():
-                if isinstance(val, list):
-                    row += [_fmt(x) for x in val]
-                else:
-                    # integers (iterations) and flags (converged) print as integers
-                    row.append(str(int(val)) if isinstance(val, int) else _fmt(val))
+        for sol in sols:
+            row = [_fmt(x) for x in (sol.z.x, sol.z.v, sol.residual, sol.rho_C0,
+                                     sol.identity_defect)]
+            row += ["%d" % sol.iterations, "%d" % sol.converged]
+            row += [_fmt(x) for x in (sol.g.real, sol.g.imag, *sol.e0.real, *sol.e0.imag)]
             fh.write(",".join(row) + "\n")
 
     atomic_write(args.out, write)
@@ -188,14 +187,13 @@ def cmd_solve(args) -> int:
 
 def cmd_density(args) -> int:
     profile = load_profile(args)
-    xmax = args.xmax or default_xmax(profile)
-    grid = edge_refined_grid(args.xmin, xmax, n_uniform=args.points,
-                             width=min(0.25 * (xmax - args.xmin), 0.3))
+    grid = default_x_grid(profile, args.xmin, args.xmax, args.points)
     cfg = InversionConfig(x_grid=grid, eta_sequence=args.eta)
     curve = density_curve(profile, cfg, solver_from(args))
     atomic_write(args.out, curve.write_csv)
     options = {"profile": args.profile, "n": profile.n, "N": profile.N, "seed": args.seed,
-               "xmin": args.xmin, "xmax": xmax, "points": args.points, "eta": list(args.eta),
+               "xmin": float(grid[0]), "xmax": float(grid[-1]), "points": args.points,
+               "eta": list(args.eta),
                "atom_at_zero": curve.atom_at_zero, "total_mass": curve.total_mass,
                "partial": curve.partial}
     write_manifest(args.out + ".manifest.json", "density", options, [args.out])
@@ -243,31 +241,6 @@ def cmd_compare(args) -> int:
         print(f"{len(failures)} cells failed", file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_certify(args) -> int:
-    profile = load_profile(args)
-    cfg = solver_from(args)
-    z = args.z
-    sol = solve_e0(profile, z, cfg)
-    diag = build_certificate(profile, sol)
-    record = {
-        "x": z.real, "v": z.imag, "n": profile.n, "N": profile.N,
-        "residual": sol.residual, "iterations": sol.iterations,
-        "converged": sol.converged, "rho_C0": sol.rho_C0, "rho_power": diag.rho,
-        "identity_defect": diag.identity_defect, "power_stalled": diag.power_stalled,
-    }
-    if args.full:
-        record["C0"] = diag.C0.tolist()
-        record["b0"] = diag.b0.tolist()
-        record["e2"] = diag.e2.tolist()
-    atomic_write(args.out, lambda fh: json.dump(record, fh, indent=2, sort_keys=True))
-    options = {"profile": args.profile, "n": profile.n, "N": profile.N,
-               "seed": args.seed, "z": str(z), "tol": cfg.tol}
-    write_manifest(args.out + ".manifest.json", "certify", options, [args.out])
-    print(f"rho_C0={sol.rho_C0:.6g} rho_power={diag.rho:.6g} "
-          f"identity_defect={diag.identity_defect:.3g} residual={sol.residual:.3g}")
-    return 0 if sol.converged else 1
 
 
 def cmd_truncate(args) -> int:
@@ -346,7 +319,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="invert G into a density/CDF CSV")
     common(p, "density.csv")
-    p.add_argument("--xmin", type=float, default=-0.5)
+    p.add_argument("--xmin", type=float, help="default: -0.05 xmax - 0.1")
     p.add_argument("--xmax", type=float, help="default: 1.25 x the spectral-edge bound + 0.1")
     p.add_argument("--points", type=int, default=141)
     p.add_argument("--eta", type=parse_floats, default=DEFAULT_ETAS,
@@ -373,12 +346,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--eta", type=parse_floats, default=DEFAULT_ETAS)
     p.add_argument("--jobs", type=int, help="accepted for old command lines; has no effect")
     p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("certify", help="contraction certificate at one point")
-    common(p, "certificate.json")
-    p.add_argument("--z", type=parse_z, default="0+1i")
-    p.add_argument("--full", action="store_true", help="include C0, b0, e2 in the JSON")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("truncate", help="plan exceptional-line removal")
     common(p, "plan.json")

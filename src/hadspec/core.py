@@ -1,8 +1,10 @@
-"""Shared domain types: weight profiles, spectral points, distributions.
+"""Shared domain types: weight profiles, spectral points, solutions, distributions.
 
 All types are immutable after construction and safe to share across threads.
 Complex arithmetic is double precision throughout; per-operation tolerances
-live with the operations, not here.
+live with the operations, not here.  A profile is read from CSV with
+WeightProfile.from_csv; the CLI's solve command writes a FixedPointSolution's
+row itself.
 """
 
 from __future__ import annotations
@@ -111,17 +113,9 @@ class WeightProfile:
             outer=_readonly((cols * row_mult[:, None]).T / self.n),
         )
 
-    # -- serialization: CSV of n rows x N columns, 17 significant digits ----
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            self.write_csv(fh)
-
-    def write_csv(self, fh) -> None:
-        np.savetxt(fh, self.entries, fmt="%.17g", delimiter=",")
-
     @classmethod
     def from_csv(cls, path) -> "WeightProfile":
+        """Read a CSV of n rows x N columns; 17 significant digits round-trip exactly."""
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
         return validate_profile(raw)
 
@@ -212,19 +206,13 @@ class SpectralPoint:
 
 @dataclass(frozen=True)
 class ZGrid:
-    """Ordered evaluation points; v descends within runs of equal x.
-
-    Solvers return one result per point, in this order.
-    """
+    """Ordered evaluation points; solvers return one result per point, in this order."""
 
     points: tuple
 
     def __post_init__(self):
         if len(self.points) == 0:
             raise ValueError("grid must contain at least one point")
-        for p, q in zip(self.points, self.points[1:]):
-            if p.x == q.x and q.v > p.v:
-                raise ValueError("points sharing x must have descending v")
 
     def __len__(self):
         return len(self.points)
@@ -270,22 +258,6 @@ class FixedPointSolution:
             raise ValueError("all components of e0 must lie in the open upper half-plane")
         if not (self.g.imag > 0):
             raise ValueError("G(z) must lie in the upper half-plane")
-
-    def to_record(self) -> dict:
-        """Flat export record; complex data split into re/im parts."""
-        return {
-            "x": self.z.x,
-            "v": self.z.v,
-            "residual": self.residual,
-            "rho_C0": self.rho_C0,
-            "identity_defect": self.identity_defect,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "g_re": self.g.real,
-            "g_im": self.g.imag,
-            "e0_re": self.e0.real.tolist(),
-            "e0_im": self.e0.imag.tolist(),
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -71,16 +71,18 @@ def make_profile(generator: str, n: int, N: int, seed: int = 0) -> WeightProfile
     raise ValueError(f"unknown profile generator {generator!r}; choose from {GENERATORS}")
 
 
-def default_xmax(profile: WeightProfile) -> float:
-    """Right end of the inversion grid: 1.25 times the spectral-edge bound, plus 0.1."""
-    return 1.25 * profile.max_entry**2 * (1.0 + np.sqrt(profile.c)) ** 2 + 0.1
+def default_x_grid(profile: WeightProfile, lo: float | None = None, hi: float | None = None,
+                   points: int = 141) -> np.ndarray:
+    """The inversion grid: `points` uniform abscissae on [lo, hi], edge-refined at 0.
 
-
-def default_x_grid(profile: WeightProfile) -> np.ndarray:
-    """Inversion grid sized to the profile's spectral scale, edge-refined at 0."""
-    hi = default_xmax(profile)
-    lo = -0.05 * hi - 0.1
-    return edge_refined_grid(lo, hi, n_uniform=141, n_edge=50, width=min(0.25 * hi, 0.3))
+    hi defaults to 1.25 times the spectral-edge bound max_entry^2 (1 + sqrt c)^2,
+    plus 0.1; lo defaults to -0.05 hi - 0.1.  Only None means the default.
+    """
+    if hi is None:
+        hi = 1.25 * profile.max_entry**2 * (1.0 + np.sqrt(profile.c)) ** 2 + 0.1
+    if lo is None:
+        lo = -0.05 * hi - 0.1
+    return edge_refined_grid(lo, hi, n_uniform=points, n_edge=50, width=min(0.25 * hi, 0.3))
 
 
 @dataclass(frozen=True)

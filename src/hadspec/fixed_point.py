@@ -36,9 +36,10 @@ cold-started block, ``solve_e0`` one point; ``solve_batch`` is the bare
 kernel on a horizontal line, which the inversions in ``stieltjes`` finish
 with ``_finish`` and ``batch_G`` evaluates.
 
-``row_denominators`` and ``build_certificate`` are the full-size
-reference: build_certificate assembles C0 and estimates rho(C0) itself by
-power iteration (``spectral_radius_nonneg``).
+``row_denominators``, ``build_certificate`` and ``spectral_radius_nonneg``
+are the full-size reference for the tests and the benchmark, not a solve
+path: build_certificate assembles C0 and estimates rho(C0) by power
+iteration.  They move to tests/_oracles.py once the benchmark stops calling them.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def _anderson(red, c, e, zs, cfg: SolverConfig):
 # ---------------------------------------------------------------------------
 
 def spectral_radius_nonneg(C: np.ndarray, start: np.ndarray, cap: int = _POWER_CAP):
-    """Perron eigenvalue of a nonnegative matrix by power iteration.
+    """Perron eigenvalue of a nonnegative matrix by power iteration (a reference).
 
     Returns (rho, stalled); stalled is set when the relative eigenvalue
     change still exceeds 1e-10 at the iteration cap.
@@ -362,7 +363,10 @@ def _finish(profile: WeightProfile, e_red: np.ndarray, zs: np.ndarray, res, tol:
 
 
 def build_certificate(profile: WeightProfile, sol: FixedPointSolution) -> ContractionDiagnostics:
-    """Assemble C0, b0, the identity defect and the power estimate of rho(C0) at a solution."""
+    """Assemble C0, b0, the identity defect and the power estimate of rho(C0) at a solution.
+
+    The full-size reference for the tests and the benchmark; solves certify with _certify.
+    """
     z = sol.z.z
     e = np.asarray(sol.e0, dtype=complex)
     denom = row_denominators(profile, e, z)

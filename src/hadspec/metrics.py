@@ -63,13 +63,11 @@ class TestFunctionIndex:
     def from_index(cls, i: int) -> "TestFunctionIndex":
         if i < 1:
             raise ValueError("indices are 1-based")
-        _extend_enumeration(i)
-        return _ENUMERATION[i - 1]
-
-
-_ENUMERATION: list[TestFunctionIndex] = []
-_SEEN: set = set()
-_NEXT_M = 1
+        start, m = 0, 1
+        while i > start + len(_level(m)):
+            start, m = start + len(_level(m)), m + 1
+        a, b = _level(m)[i - start - 1]
+        return cls(i, m, a, b)
 
 
 def _rational_pairs(m: int):
@@ -80,23 +78,12 @@ def _rational_pairs(m: int):
             yield p, q
 
 
-def _extend_enumeration(upto: int) -> None:
-    global _NEXT_M
-    while len(_ENUMERATION) < upto:
-        m = _NEXT_M
-        pairs = list(_rational_pairs(m))
-        for p_a, q_a in pairs:
-            a = Fraction(p_a, q_a)
-            for p_b, q_b in pairs:
-                b = Fraction(p_b, q_b)
-                if not a < b:
-                    continue
-                key = (m, a, b)
-                if key in _SEEN:
-                    continue
-                _SEEN.add(key)
-                _ENUMERATION.append(TestFunctionIndex(len(_ENUMERATION) + 1, m, a, b))
-        _NEXT_M += 1
+@functools.cache
+def _level(m: int) -> tuple:
+    """The (a, b) of plateau 1/m in the frozen order: pairs of _rational_pairs(m)
+    with a < b, each pair of values at its first occurrence."""
+    ends = [Fraction(p, q) for p, q in _rational_pairs(m)]
+    return tuple(dict.fromkeys((a, b) for a in ends for b in ends if a < b))
 
 
 @functools.cache

@@ -248,20 +248,15 @@ def hermitian_eigenvalues(B: np.ndarray) -> np.ndarray:
         raise ConvergenceFailureError(str(exc)) from exc
 
 
-def trial_seed_sequence(master_seed: int, trial: int) -> np.random.SeedSequence:
-    """Deterministic, order-independent substream for one trial."""
-    return np.random.SeedSequence([int(master_seed), int(trial)])
-
-
 def empirical_spectrum(profile: WeightProfile, sampler: EntrySampler,
                        pipeline: TruncationPipelineConfig | None = None,
                        trials: int = 1, seed: int = 0):
-    """One eigenvalue e.d.f. per trial, seeded independently per trial."""
+    """One eigenvalue e.d.f. per trial; trial t draws from SeedSequence([seed, t])."""
     if trials < 1:
         raise ValueError("need at least one trial")
     out = []
     for t in range(trials):
-        rng = np.random.default_rng(trial_seed_sequence(seed, t))
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), t]))
         X = _draw(rng, profile.n, profile.N, sampler)
         if pipeline is not None:
             X = truncate_center_rescale(X, pipeline, sampler).matrix

@@ -1,10 +1,12 @@
 import json
 import os
+import shlex
 
 import numpy as np
 import pytest
 
 from hadspec.cli import main, parse_sizes, parse_z
+from hadspec.experiments import default_x_grid, make_profile
 
 
 def run_cli(args, capsys=None):
@@ -83,6 +85,26 @@ class TestDensityCommand:
         assert status == 0
         assert read_json(out + ".manifest.json")["options"]["eta"] == [0.01]
 
+    def test_default_grid_is_compares(self, tmp_path):
+        # with no --xmin/--xmax the command inverts on default_x_grid, as compare does
+        out = str(tmp_path / "density.csv")
+        assert run_cli(["density", "--profile", "iid_uniform:0,2", "--n", "12", "--N", "16",
+                        "--seed", "4", "--eta", "2e-2", "-o", out]) == 0
+        xs = np.loadtxt(out, delimiter=",", skiprows=1, usecols=0)
+        grid = default_x_grid(make_profile("iid_uniform:0,2", 12, 16, seed=4))
+        assert np.array_equal(xs, grid)
+        options = read_json(out + ".manifest.json")["options"]
+        assert (options["xmin"], options["xmax"]) == (grid[0], grid[-1])
+
+    def test_xmax_zero_is_used(self, tmp_path):
+        # only a missing --xmax means the default; 0 is a value
+        out = str(tmp_path / "density.csv")
+        assert run_cli(["density", "--profile", "ones", "--n", "8", "--N", "8",
+                        "--xmax", "0", "--eta", "2e-2", "-o", out]) == 0
+        xs = np.loadtxt(out, delimiter=",", skiprows=1, usecols=0)
+        assert xs[-1] == 0.0
+        assert read_json(out + ".manifest.json")["options"]["xmax"] == 0.0
+
     def test_byte_identical_reruns(self, tmp_path):
         a = str(tmp_path / "a.csv")
         b = str(tmp_path / "b.csv")
@@ -108,6 +130,12 @@ class TestSolveCommand:
         assert header[:2] == ["x", "v"]
         assert "e0_re_3" in header and "e0_im_3" in header
         assert len(lines) == 3
+        # every row carries its certificate
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert row["converged"] == "1"
+            assert float(row["rho_C0"]) < 1.0
+            assert float(row["identity_defect"]) <= 1e-9
 
     def test_missing_required_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -142,42 +170,6 @@ class TestSimulateCommand:
 
 
 class TestCertifyTruncate:
-    def test_certify_json(self, tmp_path):
-        out = str(tmp_path / "cert.json")
-        status = run_cli(["certify", "--profile", "ones", "--n", "8", "--N", "8",
-                          "--z", "0.5+0.5i", "-o", out])
-        assert status == 0
-        rec = read_json(out)
-        assert rec["converged"] is True
-        assert rec["rho_C0"] < 1.0
-        assert rec["identity_defect"] <= 1e-9
-
-    def test_certify_reports_rho_bound(self, tmp_path):
-        # the README's certify example: the power estimate lies under the
-        # bound; on this one-column profile the two agree up to rounding
-        out = str(tmp_path / "cert.json")
-        status = run_cli(["certify", "--profile", "ones", "--n", "32", "--N", "32",
-                          "--z", "0.5+0.5i", "-o", out])
-        assert status == 0
-        rec = read_json(out)
-        assert rec["rho_power"] <= rec["rho_C0"] * (1 + 1e-12)
-        assert rec["rho_C0"] == pytest.approx(rec["rho_power"], rel=1e-12)
-        assert rec["rho_C0"] < 1.0
-        assert rec["power_stalled"] is False
-
-    def test_certify_rho_is_the_solve_bound(self, tmp_path):
-        # rho_C0 names one figure: the bound solve writes, not the power
-        # estimate (0.594 against 0.742 on this profile)
-        args = ["--profile", "spiked:6,20", "--n", "48", "--N", "48", "--seed", "3",
-                "--z", "0.5+0.5i"]
-        solve_out, cert_out = str(tmp_path / "solve.csv"), str(tmp_path / "cert.json")
-        assert run_cli(["solve"] + args + ["-o", solve_out]) == 0
-        assert run_cli(["certify"] + args + ["-o", cert_out]) == 0
-        header, row = (line.split(",") for line in read_text(solve_out).splitlines())
-        rec = read_json(cert_out)
-        assert float(row[header.index("rho_C0")]) == rec["rho_C0"]
-        assert rec["rho_power"] < rec["rho_C0"] - 0.1
-
     def test_truncate_plan_json(self, tmp_path):
         out = str(tmp_path / "plan.json")
         status = run_cli(["truncate", "--profile", "spiked:2,30", "--n", "16",
@@ -187,6 +179,19 @@ class TestCertifyTruncate:
         assert rec["epsilon"] == 0.25
         assert rec["M"] < 30.0
         assert len(rec["rows"]) + len(rec["cols"]) <= rec["budget"]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # each command of the README's CLI block, run as written
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line.split("#")[0]) for line in block.replace("\\\n", " ").splitlines()]
+    assert [line[1] for line in lines] == ["mp-check", "solve", "density", "density", "simulate",
+                                           "compare", "truncate"]
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert line[0] == "hadspec"
+        assert run_cli(line[1:]) == 0, line
 
 
 class TestCompareCommand:
@@ -318,11 +323,14 @@ class TestConfigAndEnv:
         assert status == 2
 
     def test_profile_csv_round_trip(self, tmp_path):
-        from hadspec import validate_profile
-        p = validate_profile(np.ones((4, 4)))
+        # a CSV profile solves to the same bytes as the generator it was written from
+        entries = make_profile("iid_uniform:0,2", 5, 7, seed=3).entries
         csv_path = str(tmp_path / "prof.csv")
-        p.to_csv(csv_path)
-        out = str(tmp_path / "cert.json")
-        status = run_cli(["certify", "--profile", csv_path, "--z", "0+1i", "-o", out])
-        assert status == 0
-        assert read_json(out)["n"] == 4
+        np.savetxt(csv_path, entries, fmt="%.17g", delimiter=",")
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        args = ["solve", "--z", "0.5+0.5i", "--z", "1+0.01i"]
+        assert run_cli(args + ["--profile", csv_path, "-o", a]) == 0
+        assert run_cli(args + ["--profile", "iid_uniform:0,2", "--n", "5", "--N", "7",
+                               "--seed", "3", "-o", b]) == 0
+        assert read_text(a) == read_text(b)
+        assert read_json(a + ".manifest.json")["options"]["N"] == 7
