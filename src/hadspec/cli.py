@@ -2,6 +2,8 @@
 
 solve writes each point's certificate (rho_C0, identity_defect, converged)
 with its solution; density inverts on compare's grid, default_x_grid.
+Commands that write files take --seed and -o; commands that solve take --tol
+and --max-iter; compare's --jobs is accepted and has no effect.
 
 build_parser declares every option once, with its default.  A --config file
 replaces those defaults (main parses argv a second time), so an explicit
@@ -113,9 +115,8 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 # the keys a config file may set; each names the dest of an option
-CONFIG_KEYS = frozenset(("seed", "jobs", "tol", "max_iter", "n", "N", "profile", "family",
-                         "trials", "epsilon", "generator", "sizes", "xmin", "xmax", "points",
-                         "eta", "c"))
+CONFIG_KEYS = frozenset(("seed", "tol", "max_iter", "n", "N", "profile", "family", "trials",
+                         "epsilon", "generator", "sizes", "xmin", "xmax", "points", "eta", "c"))
 
 
 def load_config(path: str) -> dict:
@@ -298,13 +299,16 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     solver = SolverConfig()
 
-    def common(p, out, profile=True):
+    def common(p, out=None, solves=False, profile=True):
+        """--seed and -o for commands that write out, --tol and --max-iter for those that solve."""
         p.add_argument("--config", help="INI config file merged under explicit flags")
-        p.add_argument("--seed", type=int, default=0,
-                       help=f"master seed (env {SEED_ENV} overrides)")
-        p.add_argument("--tol", type=float, default=solver.tol, help="solver residual target")
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=solver.max_iter)
-        p.add_argument("-o", "--out", default=out, help="output path or prefix")
+        if out is not None:
+            p.add_argument("--seed", type=int, default=0,
+                           help=f"master seed (env {SEED_ENV} overrides)")
+            p.add_argument("-o", "--out", default=out, help="output path or prefix")
+        if solves:
+            p.add_argument("--tol", type=float, default=solver.tol, help="solver residual target")
+            p.add_argument("--max-iter", dest="max_iter", type=int, default=solver.max_iter)
         if profile:
             p.add_argument("--profile",
                            help="generator spec (ones, constant:v, block:..., iid_uniform:lo,hi, spiked:k,h) or CSV path")
@@ -312,13 +316,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
             p.add_argument("--N", type=int)
 
     p = sub.add_parser("solve", help="solve e0 on a z grid, export records")
-    common(p, "solve.csv")
+    common(p, "solve.csv", solves=True)
     p.add_argument("--z", type=parse_z, action="append", required=True,
                    help="evaluation point x+vi (repeatable)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("density", help="invert G into a density/CDF CSV")
-    common(p, "density.csv")
+    common(p, "density.csv", solves=True)
     p.add_argument("--xmin", type=float, help="default: -0.05 xmax - 0.1")
     p.add_argument("--xmax", type=float, help="default: 1.25 x the spectral-edge bound + 0.1")
     p.add_argument("--points", type=int, default=141)
@@ -336,7 +340,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="simulate vs deterministic equivalent, full report")
-    common(p, "report", profile=False)
+    common(p, "report", solves=True, profile=False)
     p.add_argument("--generator", default="constant")
     p.add_argument("--sizes", type=parse_sizes, default="64x64", help="e.g. 64x64,128x256")
     p.add_argument("--family", choices=FAMILIES, default="rademacher")
@@ -353,7 +357,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_truncate)
 
     p = sub.add_parser("mp-check", help="solver vs closed-form quadratic root")
-    common(p, None, profile=False)
+    common(p, solves=True, profile=False)
     p.add_argument("--c", type=float, default=1.0, help="aspect ratio n/N")
     p.add_argument("--N", type=int, default=64,
                    help="columns of the all-ones instance (n = c*N)")
@@ -370,7 +374,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = build_parser(load_config(args.config)).parse_args(argv)
-        if os.environ.get(SEED_ENV):
+        if "seed" in args and os.environ.get(SEED_ENV):
             args.seed = int(os.environ[SEED_ENV])
         return args.func(args)
     except UsageError as exc:

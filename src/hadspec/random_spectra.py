@@ -5,9 +5,8 @@ an EntrySampler names the family (real or complex) and holds no seed: the
 seed is an argument of empirical_spectrum, one substream per trial.  The
 truncation/centering/rescaling pipeline reproduces the bounded-entry
 reduction: clip at eta_n sqrt(n), subtract the exact truncated mean of the
-family, divide by the exact truncated standard deviation.  Exact moments
-(closed forms or atom enumeration) are used rather than sample means; a
-pooled empirical fallback covers matrices of unknown provenance.
+family, divide by the exact truncated standard deviation.  The moments are
+exact (closed forms or atom enumeration), never sample means.
 """
 
 from __future__ import annotations
@@ -82,12 +81,22 @@ class TruncatedMoments:
     clip_probability: float
 
 
-def _family_atoms(family: str):
-    if family == "rademacher":
-        return ((-1.0, 0.5), (1.0, 0.5))
-    if family == "two_point_asym":
-        return ((_TWO_POINT_HI, _TWO_POINT_P), (_TWO_POINT_LO, 1.0 - _TWO_POINT_P))
-    return None
+def _family_atoms(sampler: EntrySampler):
+    """(value, probability) pairs of a discrete family's entry, real or complex.
+
+    None for the continuous families.  A complex entry pairs two independent
+    draws, (re + i im) / sqrt(2).
+    """
+    if sampler.family == "rademacher":
+        atoms = ((-1.0, 0.5), (1.0, 0.5))
+    elif sampler.family == "two_point_asym":
+        atoms = ((_TWO_POINT_HI, _TWO_POINT_P), (_TWO_POINT_LO, 1.0 - _TWO_POINT_P))
+    else:
+        return None
+    if not sampler.complex_entries:
+        return atoms
+    return tuple((complex(vr, vi) / math.sqrt(2.0), pr * pi)
+                 for vr, pr in atoms for vi, pi in atoms)
 
 
 def truncated_moments(sampler: EntrySampler, threshold: float) -> TruncatedMoments:
@@ -96,42 +105,27 @@ def truncated_moments(sampler: EntrySampler, threshold: float) -> TruncatedMomen
         raise ValueError("threshold must be positive")
     T = float(threshold)
     fam = sampler.family
-    atoms = _family_atoms(fam)
+    atoms = _family_atoms(sampler)
+    if atoms is not None:
+        # a complex entry is clipped on its modulus, which couples the parts
+        mean, m2, clip = 0.0, 0.0, 0.0
+        for v, p in atoms:
+            if abs(v) <= T:
+                mean += v * p
+                m2 += abs(v) ** 2 * p
+            else:
+                clip += p
+        return TruncatedMoments(complex(mean), m2 - abs(mean) ** 2, clip)
 
     if not sampler.complex_entries:
-        if atoms is not None:
-            vals = np.array([v for v, _ in atoms])
-            probs = np.array([p for _, p in atoms])
-            keep = np.abs(vals) <= T
-            mean = float(np.sum(vals * probs * keep))
-            m2 = float(np.sum(vals**2 * probs * keep))
-            clip = float(np.sum(probs[~keep]))
-        elif fam == "gaussian":
+        if fam == "gaussian":
             phi = math.exp(-T * T / 2.0) / math.sqrt(2.0 * math.pi)
             inside = math.erf(T / math.sqrt(2.0))
-            mean, m2, clip = 0.0, inside - 2.0 * T * phi, 1.0 - inside
-        else:  # uniform_pm
-            a = _UNIFORM_HALF_WIDTH
-            m = min(T, a)
-            mean, m2, clip = 0.0, m**3 / (3.0 * a), max(0.0, 1.0 - m / a)
-        return TruncatedMoments(complex(mean), m2 - mean * mean, clip)
+            return TruncatedMoments(0j, inside - 2.0 * T * phi, 1.0 - inside)
+        a = _UNIFORM_HALF_WIDTH   # uniform_pm
+        m = min(T, a)
+        return TruncatedMoments(0j, m**3 / (3.0 * a), max(0.0, 1.0 - m / a))
 
-    # complex case: truncation couples the two parts through the modulus
-    if atoms is not None:
-        mean = 0.0 + 0.0j
-        m2 = 0.0
-        clip = 0.0
-        for vr, pr in atoms:
-            for vi, pi in atoms:
-                z = complex(vr, vi) / math.sqrt(2.0)
-                p = pr * pi
-                if abs(z) <= T:
-                    mean += z * p
-                    m2 += abs(z) ** 2 * p
-                else:
-                    clip += p
-        sigma2 = m2 - abs(mean) ** 2
-        return TruncatedMoments(mean, sigma2, clip)
     if fam == "gaussian":
         # |x|^2 is standard exponential
         m2 = 1.0 - (1.0 + T * T) * math.exp(-T * T)
@@ -176,39 +170,24 @@ class PipelineResult:
     matrix: np.ndarray
     truncated_mask: np.ndarray
     degenerate_count: int
-    mean: complex
     sigma: float
-    threshold: float
 
 
 def truncate_center_rescale(X: np.ndarray, cfg: TruncationPipelineConfig,
-                            sampler: EntrySampler | None = None) -> PipelineResult:
-    """Clip entries at eta_n sqrt(n), center and rescale by exact moments.
+                            sampler: EntrySampler) -> PipelineResult:
+    """Clip entries at eta_n sqrt(n), center and rescale by the exact moments.
 
-    With a sampler the centering/rescaling moments are the exact truncated
-    moments of the family; without one they fall back to pooled empirical
-    moments of the clipped matrix (entries are iid, so pooling is the
-    empirical analogue of the per-entry expectation).  A (near) zero
-    truncated standard deviation zeroes the whole matrix, one degeneracy
-    flag per entry.
+    The moments are those of the sampler's family truncated at the same
+    level (truncated_moments).  A (near) zero truncated standard deviation
+    zeroes the whole matrix, one degeneracy flag per entry.
     """
     X = np.asarray(X)
-    n = X.shape[0]
-    T = cfg.eta_n * math.sqrt(n)
+    T = cfg.eta_n * math.sqrt(X.shape[0])
     mask = np.abs(X) > T
-    clipped = np.where(mask, 0.0, X)
-
-    if sampler is not None:
-        mom = truncated_moments(sampler, T)
-        mean = mom.mean
-        sigma2 = mom.sigma2
-    else:
-        mean = complex(clipped.mean())
-        sigma2 = float(np.mean(np.abs(clipped - mean) ** 2))
-    shift = mean if np.iscomplexobj(X) else mean.real
-
-    out = clipped - shift
-    sigma = math.sqrt(max(sigma2, 0.0))
+    mom = truncated_moments(sampler, T)
+    shift = mom.mean if np.iscomplexobj(X) else mom.mean.real
+    out = np.where(mask, 0.0, X) - shift
+    sigma = math.sqrt(max(mom.sigma2, 0.0))
     degenerate = 0
     if sigma < _DEGENERATE_SIGMA:
         out = np.zeros_like(out)
@@ -217,7 +196,7 @@ def truncate_center_rescale(X: np.ndarray, cfg: TruncationPipelineConfig,
     else:
         out = out / sigma
     return PipelineResult(matrix=out, truncated_mask=mask, degenerate_count=degenerate,
-                          mean=complex(mean), sigma=sigma, threshold=T)
+                          sigma=sigma)
 
 
 # ---------------------------------------------------------------------------

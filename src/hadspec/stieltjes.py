@@ -135,8 +135,9 @@ class DensityDiagnostics:
 def _sweep(profile: WeightProfile, xs: np.ndarray, etas: tuple, scfg: SolverConfig):
     """Solve and certify every x + i eta, each level warm-started from the one above.
 
-    Returns Im G and the certified mask, both (levels, points), and one
-    LevelDiagnostics per level.
+    Returns Im G at the levels the eta -> 0 estimate uses (the two smallest
+    heights, or the only one), shape (used, points); the mask of points
+    certified at all of those levels; and one LevelDiagnostics per level.
     """
     im, ok, levels = [], [], []
     e_red = None
@@ -148,7 +149,19 @@ def _sweep(profile: WeightProfile, xs: np.ndarray, etas: tuple, scfg: SolverConf
         levels.append(LevelDiagnostics(
             eta=eta, unconverged=int(np.count_nonzero(~ok_eta)), residual_max=float(res.max()),
             rho_max=float(rho.max()), defect_max=float(defect.max()), iterations=int(iters.sum())))
-    return np.array(im), np.array(ok), tuple(levels)
+    used = min(len(etas), 2)
+    return np.array(im[-used:]), np.array(ok[-used:]).all(axis=0), tuple(levels)
+
+
+def _richardson(etas: tuple, y: np.ndarray):
+    """The eta -> 0 estimate from y at the len(y) smallest heights of etas.
+
+    Linear in eta through two levels; one level is used as it is.
+    """
+    if len(y) == 1:
+        return y[0]
+    (eta1, eta2), (y1, y2) = etas[-2:], y
+    return (y2 * eta1 - y1 * eta2) / (eta1 - eta2)
 
 
 def _trapezoid_steps(xs: np.ndarray, y: np.ndarray, failed_xs=()) -> np.ndarray:
@@ -178,18 +191,16 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
     scfg = solver_cfg or SolverConfig()
     xs = cfg.x_grid
     etas = cfg.eta_sequence
-    used = min(len(etas), 2)
-    im, ok, levels = _sweep(profile, xs, etas, scfg)
-    good = ok[-used:].all(axis=0)
+    im, good, levels = _sweep(profile, xs, etas, scfg)
     failed = tuple(float(x) for x in xs[~good])
     xs_ok = xs[good]
 
-    raw = y2 = im[-1, good]
-    if used == 2:
-        (eta1, eta2), y1 = etas[-2:], im[-2, good]
-        extrap = (y2 * eta1 - y1 * eta2) / (eta1 - eta2)
+    im = im[:, good]
+    raw = _richardson(etas, im)
+    if len(im) == 2:
+        y1, y2 = im
         smooth = np.abs(y1 - y2) <= _RICHARDSON_BAND * np.maximum(np.minimum(y1, y2), 1e-12)
-        raw = np.where(smooth, extrap, y2)
+        raw = np.where(smooth, raw, y2)
     density = np.maximum(raw, 0.0) / np.pi
 
     if len(xs_ok) < 2:
@@ -228,7 +239,6 @@ def cdf_interval(profile: WeightProfile, a: float, b: float, eta,
         raise ValueError("need a <= b")
     if a == b:
         return 0.0
-    used = min(len(etas), 2)
     width = _PANEL_ETAS * etas[-1]
     cuts = [a, 0.0, b] if a < 0.0 < b else [a, b]   # 0: the hard edge of covariance spectra
     edges = np.concatenate([np.linspace(lo, hi, int(np.ceil((hi - lo) / width)) + 1)[:-1]
@@ -237,14 +247,10 @@ def cdf_interval(profile: WeightProfile, a: float, b: float, eta,
     xs = (edges[:-1, None] + half + half * _GAUSS_X).ravel()
 
     im, ok, _ = _sweep(profile, xs, etas, solver_cfg or SolverConfig())
-    failed = np.count_nonzero(~ok[-used:].all(axis=0))
+    failed = np.count_nonzero(~ok)
     if failed:
         raise QuadratureStallError(f"{failed} of {len(xs)} quadrature nodes did not converge")
-    masses = im[-used:] @ (half * _GAUSS_W).ravel() / np.pi
-    if used == 1:
-        return float(masses[0])
-    (eta1, eta2), (m1, m2) = etas[-2:], masses
-    return float((m2 * eta1 - m1 * eta2) / (eta1 - eta2))
+    return float(_richardson(etas, im @ (half * _GAUSS_W).ravel() / np.pi))
 
 
 @dataclass(frozen=True)
@@ -259,8 +265,6 @@ class MassCheckReport:
 
     g_defect: dict
     e_defect: dict
-    max_g_defect: float
-    max_e_defect: float
     mass_scale: float
 
 
@@ -277,10 +281,4 @@ def mass_check(profile: WeightProfile, solver_cfg: SolverConfig | None = None,
         sol = solve_e0(profile, z, scfg)
         g_defect[v] = abs(z * sol.g + 1.0)
         e_defect[v] = float(np.max(np.abs(z * sol.e0 + t)))
-    return MassCheckReport(
-        g_defect=g_defect,
-        e_defect=e_defect,
-        max_g_defect=max(g_defect.values()),
-        max_e_defect=max(e_defect.values()),
-        mass_scale=float(np.max(t)),
-    )
+    return MassCheckReport(g_defect=g_defect, e_defect=e_defect, mass_scale=float(np.max(t)))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -5,7 +6,7 @@ import shlex
 import numpy as np
 import pytest
 
-from hadspec.cli import main, parse_sizes, parse_z
+from hadspec.cli import build_parser, main, parse_sizes, parse_z
 from hadspec.experiments import default_x_grid, make_profile
 
 
@@ -192,6 +193,78 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     for line in lines:
         assert line[0] == "hadspec"
         assert run_cli(line[1:]) == 0, line
+
+
+def test_readme_quick_tour_runs(tmp_path, monkeypatch):
+    # the README's Python quick tour, run as written
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        tour = fh.read().split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md quick tour", "exec"), {})
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the attributes read once recording is on.
+
+    argparse reads every dest while it parses, so recording starts only
+    after parse_args returns.
+    """
+
+    def __getattribute__(self, name):
+        if not name.startswith("_") and object.__getattribute__(self, "__dict__").get("_on"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+# one representative argv per subcommand, each option given
+EVERY_OPTION = {
+    "solve": ["--profile", "iid_uniform:0,2", "--n", "4", "--N", "5", "--seed", "2",
+              "--tol", "1e-11", "--max-iter", "500", "--z", "0.5+0.5i", "-o", "s.csv"],
+    "density": ["--profile", "iid_uniform:0,2", "--n", "6", "--N", "6", "--seed", "2",
+                "--tol", "1e-11", "--max-iter", "2000", "--xmin", "-0.5", "--xmax", "4",
+                "--points", "21", "--eta", "2e-2", "-o", "d.csv"],
+    "simulate": ["--profile", "iid_uniform:0,2", "--n", "6", "--N", "6", "--seed", "2",
+                 "--family", "gaussian", "--trials", "1", "--complex", "--pipeline-eta", "0.5",
+                 "-o", "spectra"],
+    "compare": ["--generator", "constant", "--sizes", "8x8", "--family", "rademacher",
+                "--trials", "1", "--epsilon", "0.25", "--complex", "--eta", "2e-2",
+                "--seed", "2", "--tol", "1e-11", "--max-iter", "2000", "--jobs", "1",
+                "-o", "report"],
+    "truncate": ["--profile", "spiked:2,30", "--n", "8", "--N", "8", "--seed", "2",
+                 "--epsilon", "0.25", "-o", "plan.json"],
+    "mp-check": ["--c", "1", "--N", "16", "--z", "0+1i", "--tol", "1e-11", "--max-iter", "500"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_OPTION))
+def test_every_option_is_read(tmp_path, monkeypatch, command):
+    # config is read by main, and compare's --jobs is accepted and has no effect
+    parser = build_parser()
+    declared = {action.dest for action in parser._subparsers._group_actions[0]
+                .choices[command]._actions if action.dest != "help"}
+    monkeypatch.chdir(tmp_path)
+    ns = ReadRecorder(_read=set())
+    parser.parse_args([command] + EVERY_OPTION[command], namespace=ns)
+    ns._on = True
+    assert ns.func(ns) == 0
+    assert declared - {"config", "jobs"} - ns._read == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--profile", "ones", "--n", "4", "--N", "4", "--tol", "1e-9"],
+    ["simulate", "--profile", "ones", "--n", "4", "--N", "4", "--max-iter", "10"],
+    ["truncate", "--profile", "ones", "--n", "4", "--N", "4", "--tol", "1e-9"],
+    ["truncate", "--profile", "ones", "--n", "4", "--N", "4", "--max-iter", "10"],
+    ["mp-check", "--seed", "3"],
+    ["mp-check", "-o", "out.csv"],
+])
+def test_removed_options_exit_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert os.listdir(tmp_path) == []
 
 
 class TestCompareCommand:

@@ -125,8 +125,12 @@ class TestTruncateCenterRescale:
         assert out.sigma == pytest.approx(math.sqrt(var_o), abs=1e-12)
 
     def test_degenerate_constant_matrix(self):
-        X = np.full((6, 7), 3.0)
-        out = truncate_center_rescale(X, TruncationPipelineConfig(eta_n=2.0))
+        # threshold 0.5 clips both rademacher atoms: the truncated sigma is 0
+        sampler = EntrySampler("rademacher")
+        X = sample_matrix(6, 7, sampler, 5)
+        out = truncate_center_rescale(X, TruncationPipelineConfig(eta_n=0.5 / math.sqrt(6)),
+                                      sampler)
+        assert out.truncated_mask.all()
         assert np.array_equal(out.matrix, np.zeros((6, 7)))
         assert out.degenerate_count == 42
 
