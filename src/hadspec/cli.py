@@ -35,7 +35,7 @@ from .core import SpectralPoint, WeightProfile, ZGrid
 from .experiments import ExperimentSpec, default_x_grid, make_profile, run_experiment
 from .fixed_point import SolverConfig, solve_e0, solve_grid
 from .random_spectra import EntrySampler, FAMILIES, TruncationPipelineConfig, empirical_spectrum
-from .stieltjes import DEFAULT_ETAS, InversionConfig, density_curve
+from .stieltjes import DEFAULT_ETAS, InversionConfig, _eta_schedule, density_curve
 from .tightness import plan_truncation
 
 SEED_ENV = "HS_SEED"
@@ -73,8 +73,12 @@ def parse_sizes(text: str):
     return tuple(out)
 
 
-def parse_floats(text: str):
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def parse_etas(text: str) -> tuple:
+    """A comma-separated eta schedule, valid by stieltjes._eta_schedule's rule."""
+    try:
+        return _eta_schedule(tok for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
 
 
 def atomic_write(path: str, writer) -> None:
@@ -326,7 +330,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--xmin", type=float, help="default: -0.05 xmax - 0.1")
     p.add_argument("--xmax", type=float, help="default: 1.25 x the spectral-edge bound + 0.1")
     p.add_argument("--points", type=int, default=141)
-    p.add_argument("--eta", type=parse_floats, default=DEFAULT_ETAS,
+    p.add_argument("--eta", type=parse_etas, default=DEFAULT_ETAS,
                    help="descending eta schedule, comma separated")
     p.set_defaults(func=cmd_density)
 
@@ -347,7 +351,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--complex", action="store_true")
-    p.add_argument("--eta", type=parse_floats, default=DEFAULT_ETAS)
+    p.add_argument("--eta", type=parse_etas, default=DEFAULT_ETAS)
     p.add_argument("--jobs", type=int, help="accepted for old command lines; has no effect")
     p.set_defaults(func=cmd_compare)
 
@@ -375,7 +379,10 @@ def main(argv=None) -> int:
         if args.config:
             args = build_parser(load_config(args.config)).parse_args(argv)
         if "seed" in args and os.environ.get(SEED_ENV):
-            args.seed = int(os.environ[SEED_ENV])
+            try:
+                args.seed = int(os.environ[SEED_ENV])
+            except ValueError:
+                raise UsageError(f"{SEED_ENV}={os.environ[SEED_ENV]!r} is not an integer") from None
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

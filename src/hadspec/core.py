@@ -199,10 +199,6 @@ class SpectralPoint:
     def z(self) -> complex:
         return complex(self.x, self.v)
 
-    @classmethod
-    def of(cls, z: complex) -> "SpectralPoint":
-        return cls(float(z.real), float(z.imag))
-
 
 @dataclass(frozen=True)
 class ZGrid:

@@ -31,7 +31,7 @@ from .metrics import TestIntegrals, d_metric, ks_distance
 from .random_spectra import EntrySampler, empirical_spectrum
 from .stieltjes import (DEFAULT_ETAS, InversionConfig, _eta_schedule, density_curve,
                         edge_refined_grid)
-from .tightness import ZeroColumnAfterTruncationError, plan_truncation, truncate_profile
+from .tightness import plan_truncation, truncate_profile
 
 GENERATORS = ("constant", "ones", "block", "iid_uniform", "spiked")
 
@@ -131,7 +131,7 @@ class ComparisonReport:
     medians: dict          # (n, N) -> {"ks": ..., "d_value": ...} over trusted rows
     curve_mass: dict       # (n, N) -> total mass of the inverted curve
     total_runtime: float
-    stages: dict           # (n, N) -> stage wall times in s, and curve_reused_from
+    stages: dict           # (n, N) -> stage wall times in s, curve_reused_from, failure
 
     def write_csv(self, fh) -> None:
         # total_runtime lives in the manifest's trace: payloads must be byte-reproducible
@@ -157,8 +157,9 @@ class ComparisonReport:
     def to_trace(self) -> dict:
         """How the run went, for the manifest's unhashed trace block: wall
         times in seconds per size and stage (plan_s includes building the
-        profile, invert_s the curve's test-function integrals), and the
-        size whose curve a size reused (None when it inverted its own)."""
+        profile, invert_s the curve's test-function integrals), the size
+        whose curve a size reused (None when it inverted its own), and a
+        failed size's failed_stage (plan or invert) and error_type."""
         return {
             "total_runtime_s": self.total_runtime,
             "cells": {f"{n}x{N}": rec for (n, N), rec in self.stages.items()},
@@ -214,7 +215,9 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
                 inversions[key] = (f"{n}x{N}", curve, diag, TestIntegrals.of(curve))
             _, curve, diag, curve_integrals = inversions[key]
             t = _lap(stage, "invert_s", t)
-        except (ZeroColumnAfterTruncationError, ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError) as exc:
+            stage["failed_stage"] = "invert" if "plan_s" in stage else "plan"
+            stage["error_type"] = type(exc).__name__
             rows.extend(CellResult(n=n, N=N, trial=trial, error=f"{type(exc).__name__}: {exc}")
                         for trial in range(spec.trials))
             continue

@@ -413,7 +413,8 @@ def solve_e0(profile: WeightProfile, z, cfg: SolverConfig | None = None,
     across identical profile columns is collapsed to its first-column
     representatives (the fixed point is column-symmetric).
     """
-    point = SpectralPoint.of(_as_z(z))
+    z = _as_z(z)
+    point = SpectralPoint(z.real, z.imag)
     e = None
     if warm_start is not None:
         e = _restrict(profile.reduced, warm_start)[:, None]

@@ -6,7 +6,8 @@ seed is an argument of empirical_spectrum, one substream per trial.  The
 truncation/centering/rescaling pipeline reproduces the bounded-entry
 reduction: clip at eta_n sqrt(n), subtract the exact truncated mean of the
 family, divide by the exact truncated standard deviation.  The moments are
-exact (closed forms or atom enumeration), never sample means.
+exact (closed forms or atom enumeration), never sample means, and a clip
+level that leaves the family no variance is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -163,40 +164,24 @@ class TruncationPipelineConfig:
             raise ValueError("eta_n must be positive")
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    """Pipeline output plus the bookkeeping the perturbation bounds need."""
-
-    matrix: np.ndarray
-    truncated_mask: np.ndarray
-    degenerate_count: int
-    sigma: float
-
-
 def truncate_center_rescale(X: np.ndarray, cfg: TruncationPipelineConfig,
-                            sampler: EntrySampler) -> PipelineResult:
+                            sampler: EntrySampler) -> tuple[np.ndarray, np.ndarray]:
     """Clip entries at eta_n sqrt(n), center and rescale by the exact moments.
 
     The moments are those of the sampler's family truncated at the same
-    level (truncated_moments).  A (near) zero truncated standard deviation
-    zeroes the whole matrix, one degeneracy flag per entry.
+    level (truncated_moments).  Returns (matrix, truncated_mask); a clip
+    level that leaves (near) zero variance raises ValueError.
     """
     X = np.asarray(X)
     T = cfg.eta_n * math.sqrt(X.shape[0])
-    mask = np.abs(X) > T
     mom = truncated_moments(sampler, T)
-    shift = mom.mean if np.iscomplexobj(X) else mom.mean.real
-    out = np.where(mask, 0.0, X) - shift
     sigma = math.sqrt(max(mom.sigma2, 0.0))
-    degenerate = 0
     if sigma < _DEGENERATE_SIGMA:
-        out = np.zeros_like(out)
-        degenerate = out.size
-        sigma = 0.0
-    else:
-        out = out / sigma
-    return PipelineResult(matrix=out, truncated_mask=mask, degenerate_count=degenerate,
-                          sigma=sigma)
+        raise ValueError(f"clip level {T:g} leaves {sampler.family} entries no "
+                         f"variance (truncated sigma {sigma:.3g}); choose a larger eta_n")
+    mask = np.abs(X) > T
+    shift = mom.mean if np.iscomplexobj(X) else mom.mean.real
+    return (np.where(mask, 0.0, X) - shift) / sigma, mask
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +223,7 @@ def empirical_spectrum(profile: WeightProfile, sampler: EntrySampler,
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), t]))
         X = _draw(rng, profile.n, profile.N, sampler)
         if pipeline is not None:
-            X = truncate_center_rescale(X, pipeline, sampler).matrix
+            X, _ = truncate_center_rescale(X, pipeline, sampler)
         B = build_B(profile, X)
         out.append(EmpiricalDistribution(hermitian_eigenvalues(B)))
     return out

@@ -1,23 +1,23 @@
 """Recover the deterministic-equivalent density and CDF from G by inversion.
 
-The boundary density at x is (1/pi) lim Im G(x + i eta) as eta -> 0+; the
-artifact evaluates Im G on a descending eta schedule and extrapolates.
-Horizontal-line inversion conserves total mass exactly at fixed eta, so the
-CDF is the trapezoid accumulation of the extrapolated density plus any point
-mass detected at zero by mass deficit.  Trapezoids join only neighbouring
-grid points: a gap (uncertified points) adds no mass, and the CDF is flat
-across it.
+The boundary density at x is (1/pi) lim Im G(x + i eta) as eta -> 0+,
+evaluated on a descending eta schedule (_eta_schedule, the one validity
+rule) and extrapolated.  Horizontal-line inversion conserves total mass
+exactly at fixed eta, so the CDF is the trapezoid accumulation of the
+extrapolated density plus any point mass detected at zero by mass deficit.
+Trapezoids join only neighbouring grid points: a gap (a point in the
+curve's failed_xs) adds no mass, and the CDF is flat across it.
 
 Both inversions run one batched sweep down the eta schedule: the density
 on its x grid, interval masses on the nodes of 8-point Gauss-Legendre
 panels at most 2 eta_min wide (Im G(x + i eta) is analytic for
-|Im x| < eta), certifying every point at every level.  Memory is
-O(points x unique columns).
+|Im x| < eta), certifying every point at every level; the density's
+diagnostics keep one record per level.  Memory is O(points x unique columns).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,12 +112,11 @@ class LevelDiagnostics:
 class DensityDiagnostics:
     """Solver quality over the inversion sweep: one record per eta level.
 
-    residual_max, rho_max and iterations_total are over every point and
-    level; unconverged lists the abscissae the curve leaves out.
+    residual_max and rho_max are over every point and level; the abscissae
+    the curve leaves out are its failed_xs.
     """
 
     levels: tuple
-    unconverged: tuple = field(default_factory=tuple)
 
     @property
     def residual_max(self) -> float:
@@ -126,10 +125,6 @@ class DensityDiagnostics:
     @property
     def rho_max(self) -> float:
         return max(lv.rho_max for lv in self.levels)
-
-    @property
-    def iterations_total(self) -> int:
-        return sum(lv.iterations for lv in self.levels)
 
 
 def _sweep(profile: WeightProfile, xs: np.ndarray, etas: tuple, scfg: SolverConfig):
@@ -213,8 +208,7 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
     curve = DensityCurve(xs=xs_ok, density=density, cdf=cdf,
                          eta_used=etas, atom_at_zero=atom, failed_xs=failed)
     if with_diagnostics:
-        diag = DensityDiagnostics(levels=levels, unconverged=failed)
-        return curve, diag
+        return curve, DensityDiagnostics(levels=levels)
     return curve
 
 
@@ -260,12 +254,11 @@ class MassCheckReport:
     g_defect maps v to |z G(z) + 1| at z = iv; e_defect maps v to
     max_j |z e0_j(z) + t_j| with t_j = (1/n) sum_i d_ij^2.  Both vanish as
     v grows when G and the e0_j are Stieltjes transforms of measures with
-    the right total mass.
+    the right total mass; e_defect's scale is max_j t_j.
     """
 
     g_defect: dict
     e_defect: dict
-    mass_scale: float
 
 
 def mass_check(profile: WeightProfile, solver_cfg: SolverConfig | None = None,
@@ -281,4 +274,4 @@ def mass_check(profile: WeightProfile, solver_cfg: SolverConfig | None = None,
         sol = solve_e0(profile, z, scfg)
         g_defect[v] = abs(z * sol.g + 1.0)
         e_defect[v] = float(np.max(np.abs(z * sol.e0 + t)))
-    return MassCheckReport(g_defect=g_defect, e_defect=e_defect, mass_scale=float(np.max(t)))
+    return MassCheckReport(g_defect=g_defect, e_defect=e_defect)

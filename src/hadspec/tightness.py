@@ -14,7 +14,8 @@ a flat or block profile costs one step, not a budget of peels that would
 all be rolled back.  Downstream consumers only need a feasible plan, not
 an optimal one; minimizing M under a line budget is a combinatorial
 problem this module deliberately does not solve, and a brute-force oracle
-bounds the greedy gap in tests.
+bounds the greedy gap in tests.  truncate_profile zeroes the weights above
+a level; validate_profile is the one nonzero-column check (ZeroColumnError).
 """
 
 from __future__ import annotations
@@ -24,16 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import WeightProfile, validate_profile
-
-
-class ZeroColumnAfterTruncationError(ValueError):
-    """Entrywise truncation zeroed out whole columns; caller decides."""
-
-    def __init__(self, columns):
-        self.columns = tuple(int(k) for k in columns)
-        self.k = self.columns[0]
-        super().__init__(
-            f"columns {self.columns} (0-based) became all-zero after truncation")
 
 
 @dataclass(frozen=True)
@@ -142,13 +133,9 @@ def truncate_profile(profile: WeightProfile, d_eps: float) -> WeightProfile:
     """Zero every weight above d_eps (keep entries <= d_eps).
 
     Choose d_eps at least the plan's M so the surviving entries are exactly
-    those outside the removed lines.  Columns that become all-zero violate
-    the nonzero-column assumption and are surfaced as an error.
+    those outside the removed lines.  A column left all-zero violates the
+    nonzero-column assumption: validate_profile raises ZeroColumnError.
     """
     if not d_eps >= 0:   # also rejects NaN
         raise ValueError("d_eps must be a nonnegative number")
-    out = np.where(profile.entries <= d_eps, profile.entries, 0.0)
-    dead = np.nonzero(~(out > 0).any(axis=0))[0]
-    if dead.size:
-        raise ZeroColumnAfterTruncationError(dead)
-    return validate_profile(out)
+    return validate_profile(np.where(profile.entries <= d_eps, profile.entries, 0.0))

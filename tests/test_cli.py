@@ -169,6 +169,15 @@ class TestSimulateCommand:
         run_cli(args + ["-o", b])
         assert read_text(a + ".trial0.csv") == read_text(b + ".trial0.csv")
 
+    def test_degenerate_clip_refused(self, tmp_path, monkeypatch, capsys):
+        # threshold 0.1 sqrt(16) = 0.4 clips both rademacher atoms
+        monkeypatch.chdir(tmp_path)
+        status = run_cli(["simulate", "--profile", "ones", "--n", "16", "--N", "16",
+                          "--family", "rademacher", "--pipeline-eta", "0.1"])
+        assert status == 1
+        assert "clip level 0.4 leaves rademacher entries" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 class TestCertifyTruncate:
     def test_truncate_plan_json(self, tmp_path):
@@ -378,6 +387,34 @@ class TestConfigAndEnv:
                  "--family", "rademacher", "--trials", "1", "--seed", "11", "-o", out])
         manifest = read_json(out + ".manifest.json")
         assert manifest["options"]["seed"] == 99
+
+    def test_malformed_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HS_SEED", "abc")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["simulate", "--profile", "ones", "--n", "4", "--N", "4"]) == 2
+        assert capsys.readouterr().err == "usage error: HS_SEED='abc' is not an integer\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["density", "compare"])
+    @pytest.mark.parametrize("eta, rule", [("1e-3,1e-2", "strictly descending"),
+                                           ("-1", "positive, finite"),
+                                           ("abc", "could not convert")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_invalid_eta_schedule_exits_2(self, tmp_path, monkeypatch, capsys,
+                                          command, eta, rule, source):
+        monkeypatch.chdir(tmp_path)
+        argv = [command] + (["--profile", "ones", "--n", "4", "--N", "4"]
+                            if command == "density" else ["--sizes", "4x4"])
+        if source == "flag":
+            argv += ["--eta", eta]
+        else:
+            (tmp_path / "eta.ini").write_text(f"[run]\neta = {eta}\n")
+            argv += ["--config", "eta.ini"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert rule in capsys.readouterr().err.splitlines()[-1]
+        assert os.listdir(tmp_path) == ([] if source == "flag" else ["eta.ini"])
 
     @pytest.mark.parametrize("text", ["seed = 3\n",                       # no [section]
                                       "[run]\nseed = 3\n[run]\nseed = 4\n",  # section twice

@@ -94,11 +94,19 @@ class TestRunExperiment:
         assert abs(ks_a - ks_b) <= 2 / 32 + 0.05
 
     def test_failed_cells_recorded(self):
-        # a column of spikes that truncation zeroes out: cells report errors
-        spec = small_spec("spiked:60,30.0", sizes=((6, 10),), trials=2, epsilon=0.3)
+        # at 2x2 the one-line budget removes the spike's column, and
+        # truncating at the plan's M zeroes it; at 4x4 a column keeps an
+        # entry below M and the cells run clean
+        spec = small_spec("spiked:1,30", sizes=((2, 2), (4, 4)), trials=2, epsilon=0.5, seed=0)
         report = run_experiment(spec)
-        assert len(report.rows) == 2
-        assert all("ZeroColumn" in r.error or r.error == "" for r in report.rows)
+        failed = [r for r in report.rows if (r.n, r.N) == (2, 2)]
+        assert len(failed) == 2
+        assert all(r.error.startswith("ZeroColumnError: ") for r in failed)
+        assert all(r.error == "" for r in report.rows if (r.n, r.N) == (4, 4))
+        cells = report.to_trace()["cells"]
+        assert cells["2x2"] == {"curve_reused_from": None, "failed_stage": "plan",
+                                "error_type": "ZeroColumnError"}
+        assert "failed_stage" not in cells["4x4"] and "error_type" not in cells["4x4"]
 
     def test_manifest_round_trip(self):
         report = run_experiment(small_spec())

@@ -567,7 +567,7 @@ class TestAndersonKernel:
 def _oracle_certificates(profile, e_red, xs, v):
     # build_certificate (full-size C0, power iteration) at each batch column
     return [build_certificate(profile, FixedPointSolution(
-                z=SpectralPoint.of(complex(x, v)), e0=_expand(profile.reduced, e_red[:, p]),
+                z=SpectralPoint(float(x), v), e0=_expand(profile.reduced, e_red[:, p]),
                 residual=0.0, rho_C0=0.0, identity_defect=0.0, iterations=0, g=1j,
                 converged=False))
             for p, x in enumerate(xs)]

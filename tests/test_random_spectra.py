@@ -106,33 +106,33 @@ class TestTruncateCenterRescale:
     def test_identity_for_bounded_family_above_threshold(self):
         sampler = EntrySampler("rademacher")
         X = sample_matrix(30, 40, sampler, 11)
-        out = truncate_center_rescale(X, TruncationPipelineConfig(eta_n=1.5 / math.sqrt(30)),
-                                      sampler)
-        assert np.array_equal(out.matrix, X)
-        assert out.degenerate_count == 0
-        assert not out.truncated_mask.any()
+        matrix, mask = truncate_center_rescale(
+            X, TruncationPipelineConfig(eta_n=1.5 / math.sqrt(30)), sampler)
+        assert np.array_equal(matrix, X)
+        assert not mask.any()
 
     def test_gaussian_bound_from_truncated_normal_oracle(self):
         n = 200
         sampler = EntrySampler("gaussian")
         X = sample_matrix(n, n, sampler, 13)
         cfg = TruncationPipelineConfig(eta_n=2.0 / math.sqrt(n))   # threshold T = 2
-        out = truncate_center_rescale(X, cfg, sampler)
+        matrix, mask = truncate_center_rescale(X, cfg, sampler)
         _, var_o = truncated_normal_moments(2.0)
         bound = 2.0 / math.sqrt(var_o)          # ~2.2737, the derived bound
-        assert np.max(np.abs(out.matrix)) <= bound + 1e-12
-        assert out.truncated_mask.sum() > 0     # T=2 clips a visible fraction
-        assert out.sigma == pytest.approx(math.sqrt(var_o), abs=1e-12)
+        assert np.max(np.abs(matrix)) <= bound + 1e-12
+        assert mask.sum() > 0                   # T=2 clips a visible fraction
+        # the mean is 0, so every kept entry is x / sigma
+        sigma = X[~mask] / matrix[~mask]
+        assert sigma == pytest.approx(np.full(sigma.shape, math.sqrt(var_o)), abs=1e-12)
 
     def test_degenerate_constant_matrix(self):
-        # threshold 0.5 clips both rademacher atoms: the truncated sigma is 0
+        # threshold 0.5 clips both rademacher atoms: the truncated sigma is
+        # 0, and a clip that would give the zero matrix is refused
         sampler = EntrySampler("rademacher")
         X = sample_matrix(6, 7, sampler, 5)
-        out = truncate_center_rescale(X, TruncationPipelineConfig(eta_n=0.5 / math.sqrt(6)),
-                                      sampler)
-        assert out.truncated_mask.all()
-        assert np.array_equal(out.matrix, np.zeros((6, 7)))
-        assert out.degenerate_count == 42
+        with pytest.raises(ValueError, match="clip level 0.5 leaves rademacher entries"):
+            truncate_center_rescale(X, TruncationPipelineConfig(eta_n=0.5 / math.sqrt(6)),
+                                    sampler)
 
     def test_centering_uses_exact_family_moments(self):
         # two_point with the -3 atom clipped: exact mean 0.3 is subtracted
@@ -140,10 +140,9 @@ class TestTruncateCenterRescale:
         sampler = EntrySampler("two_point_asym")
         X = sample_matrix(50, 50, sampler, 17)
         cfg = TruncationPipelineConfig(eta_n=1.0 / math.sqrt(50))
-        out = truncate_center_rescale(X, cfg, sampler)
+        matrix, _ = truncate_center_rescale(X, cfg, sampler)
         clipped = np.where(np.abs(X) > 1.0, 0.0, X)
-        assert out.sigma == pytest.approx(0.1)
-        assert np.allclose(out.matrix, (clipped - 0.3) / 0.1)
+        assert np.allclose(matrix, (clipped - 0.3) / 0.1)
 
 
 class TestBuildB:
@@ -237,11 +236,11 @@ class TestPerturbationLemmas:
         sampler = EntrySampler("gaussian")
         X = sample_matrix(n, rand_profile.N, sampler, 31)
         cfg = TruncationPipelineConfig(eta_n=2.4 / math.sqrt(n))
-        out = truncate_center_rescale(X, cfg, sampler)
-        assert out.truncated_mask.any()
-        rows_touched = int(out.truncated_mask.any(axis=1).sum())
+        _, mask = truncate_center_rescale(X, cfg, sampler)
+        assert mask.any()
+        rows_touched = int(mask.any(axis=1).sum())
         F = empirical_spectrum_like(rand_profile, X)
-        G = empirical_spectrum_like(rand_profile, np.where(out.truncated_mask, 0.0, X))
+        G = empirical_spectrum_like(rand_profile, np.where(mask, 0.0, X))
         assert ks_distance(F, G) <= rows_touched / n + 1e-12
 
     def test_singular_value_chain(self, rand_profile):
@@ -249,7 +248,7 @@ class TestPerturbationLemmas:
         sampler = EntrySampler("gaussian")
         X = sample_matrix(n, N, sampler, 37)
         T_cfg = TruncationPipelineConfig(eta_n=2.0 / math.sqrt(n))
-        clipped = np.where(truncate_center_rescale(X, T_cfg, sampler).truncated_mask, 0.0, X)
+        clipped = np.where(truncate_center_rescale(X, T_cfg, sampler)[1], 0.0, X)
         mom = truncated_moments(sampler, 2.0)
         centered = clipped - mom.mean.real
         hat = centered / math.sqrt(mom.sigma2)
