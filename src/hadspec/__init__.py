@@ -24,7 +24,6 @@ from .fixed_point import SolverConfig, build_certificate, row_denominators, solv
 from .stieltjes import InversionConfig, cdf_interval, density_curve, edge_refined_grid, mass_check
 from .random_spectra import (
     EntrySampler,
-    TruncationPipelineConfig,
     build_B,
     empirical_spectrum,
     hermitian_eigenvalues,

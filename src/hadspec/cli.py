@@ -34,11 +34,12 @@ from . import __version__
 from .core import SpectralPoint, WeightProfile, ZGrid
 from .experiments import ExperimentSpec, default_x_grid, make_profile, run_experiment
 from .fixed_point import SolverConfig, solve_e0, solve_grid
-from .random_spectra import EntrySampler, FAMILIES, TruncationPipelineConfig, empirical_spectrum
+from .random_spectra import EntrySampler, FAMILIES, empirical_spectrum
 from .stieltjes import DEFAULT_ETAS, InversionConfig, _eta_schedule, density_curve
 from .tightness import plan_truncation
 
 SEED_ENV = "HS_SEED"
+Z_HELP = "evaluation point x+vi (repeatable); write x < 0 as --z=-0.5+2.5e-3i"
 
 
 class UsageError(Exception):
@@ -209,10 +210,7 @@ def cmd_density(args) -> int:
 def cmd_simulate(args) -> int:
     profile = load_profile(args)
     sampler = EntrySampler(family=args.family, complex_entries=args.complex)
-    pipeline = None
-    if args.pipeline_eta is not None:
-        pipeline = TruncationPipelineConfig(eta_n=args.pipeline_eta)
-    spectra = empirical_spectrum(profile, sampler, pipeline, args.trials, seed=args.seed)
+    spectra = empirical_spectrum(profile, sampler, args.pipeline_eta, args.trials, seed=args.seed)
     outputs = []
     for t, dist in enumerate(spectra):
         path = f"{args.out}.trial{t}.csv"
@@ -321,8 +319,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve e0 on a z grid, export records")
     common(p, "solve.csv", solves=True)
-    p.add_argument("--z", type=parse_z, action="append", required=True,
-                   help="evaluation point x+vi (repeatable)")
+    p.add_argument("--z", type=parse_z, action="append", required=True, help=Z_HELP)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("density", help="invert G into a density/CDF CSV")
@@ -365,7 +362,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=1.0, help="aspect ratio n/N")
     p.add_argument("--N", type=int, default=64,
                    help="columns of the all-ones instance (n = c*N)")
-    p.add_argument("--z", type=parse_z, action="append")
+    p.add_argument("--z", type=parse_z, action="append", help=Z_HELP)
     p.set_defaults(func=cmd_mp_check)
 
     for p in sub.choices.values():

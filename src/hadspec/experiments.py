@@ -4,9 +4,9 @@ One experiment cell = (matrix size, trial): build the weight profile, plan
 and apply the epsilon-truncation, solve and invert the deterministic
 equivalent once per size (it is nonrandom), simulate the random spectrum
 per trial, and compare.  The cells run one after another in one thread.
-Medians across trials per size are the finite-n evidence for the
-vanishing-distance statement; rows failing the residual or spectral-radius
-certificate are excluded from trend statistics.
+Medians across trials per size, read off the report's rows, are the
+finite-n evidence for the vanishing-distance statement; rows failing the
+residual or spectral-radius certificate are excluded from them.
 
 The inversion reads the truncated profile only through its reduced map,
 its aspect ratio and its row weights row_mult / n, so a later size whose
@@ -20,6 +20,7 @@ can differ from a fresh inversion's in the last digit, since G sums
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import dataclass, field
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .core import WeightProfile, validate_profile
 from .fixed_point import SolverConfig, certified
-from .metrics import TestIntegrals, d_metric, ks_distance
+from .metrics import TAIL_BOUND, TestIntegrals, d_metric, ks_distance
 from .random_spectra import EntrySampler, empirical_spectrum
 from .stieltjes import (DEFAULT_ETAS, InversionConfig, _eta_schedule, density_curve,
                         edge_refined_grid)
@@ -128,18 +129,32 @@ class CellResult:
 class ComparisonReport:
     spec: ExperimentSpec
     rows: tuple
-    medians: dict          # (n, N) -> {"ks": ..., "d_value": ...} over trusted rows
     curve_mass: dict       # (n, N) -> total mass of the inverted curve
     total_runtime: float
     stages: dict           # (n, N) -> stage wall times in s, curve_reused_from, failure
 
+    @property
+    def medians(self) -> dict:
+        """(n, N) -> median ks and d_value over the size's trusted rows, in
+        spec.sizes order; a size without a trusted row is absent."""
+        out = {}
+        for size in self.spec.sizes:
+            good = [r for r in self.rows if (r.n, r.N) == size and r.trusted]
+            if good:
+                out[size] = {"ks": float(np.median([r.ks for r in good])),
+                             "d_value": float(np.median([r.d_value for r in good]))}
+        return out
+
     def write_csv(self, fh) -> None:
         # total_runtime lives in the manifest's trace: payloads must be byte-reproducible
-        fh.write("n,N,trial,d_value,d_tail,ks,rho_max,residual_max,trusted,error\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(("n", "N", "trial", "d_value", "d_tail", "ks", "rho_max", "residual_max",
+                      "trusted", "error"))
         for r in self.rows:
-            fh.write("%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%s\n" % (
-                r.n, r.N, r.trial, r.d_value, r.d_tail, r.ks,
-                r.rho_max, r.residual_max, int(r.trusted), r.error))
+            out.writerow((r.n, r.N, r.trial,
+                          *("%.17g" % x for x in (r.d_value, r.d_tail, r.ks, r.rho_max,
+                                                  r.residual_max)),
+                          int(r.trusted), r.error))
 
     def to_manifest(self) -> dict:
         return {
@@ -193,7 +208,6 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
     """
     t_start = time.perf_counter()
     rows: list[CellResult] = []
-    medians: dict = {}
     curve_mass: dict = {}
     stages: dict = {}
     inversions: dict = {}   # inversion key -> (size, curve, diag, curve integrals)
@@ -226,21 +240,11 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
         seed = _size_seed(spec.master_seed, n, N)
         spectra = empirical_spectrum(profile, spec.sampler, None, spec.trials, seed=seed)
         t = _lap(stage, "simulate_s", t)
-        cell_rows = []
-        for trial, spectrum in enumerate(spectra):
-            dm = d_metric(spectrum, curve_integrals)
-            cell_rows.append(CellResult(
-                n=n, N=N, trial=trial, d_value=dm.value, d_tail=dm.tail_bound,
-                ks=ks_distance(spectrum, curve), rho_max=diag.rho_max,
-                residual_max=diag.residual_max, trusted=trusted_cell))
+        rows.extend(CellResult(
+            n=n, N=N, trial=trial, d_value=d_metric(spectrum, curve_integrals),
+            d_tail=TAIL_BOUND, ks=ks_distance(spectrum, curve), rho_max=diag.rho_max,
+            residual_max=diag.residual_max, trusted=trusted_cell)
+            for trial, spectrum in enumerate(spectra))
         _lap(stage, "compare_s", t)
-        rows.extend(cell_rows)
-        good = [r for r in cell_rows if r.trusted]
-        if good:
-            medians[(n, N)] = {
-                "ks": float(np.median([r.ks for r in good])),
-                "d_value": float(np.median([r.d_value for r in good])),
-            }
-    return ComparisonReport(spec=spec, rows=tuple(rows), medians=medians,
-                            curve_mass=curve_mass,
+    return ComparisonReport(spec=spec, rows=tuple(rows), curve_mass=curve_mass,
                             total_runtime=time.perf_counter() - t_start, stages=stages)

@@ -31,10 +31,11 @@ The certificate, ``_certify``, applies C0 once to e2 = Im e on the block:
 the product gives the imaginary-part identity defect and the
 Collatz-Wielandt bound max_j (C0 e2)_j / e2_j >= rho(C0), and ``certified``
 (residual <= tol and that bound < 1: uniqueness and local stability)
-defines converged on every path.  ``solve_grid`` solves a grid as one
-cold-started block, ``solve_e0`` one point; ``solve_batch`` is the bare
-kernel on a horizontal line, which the inversions in ``stieltjes`` finish
-with ``_finish`` and ``batch_G`` evaluates.
+defines converged on every path.  Every path enters the kernel through
+``_iterate``, from a warm start checked to lie in C+ or the cold start.
+``solve_grid`` solves a grid as one cold-started block, ``solve_e0`` one
+point; ``solve_batch`` is the bare kernel on a horizontal line, which the
+inversions in ``stieltjes`` finish with ``_finish`` and ``batch_G`` evaluates.
 
 ``row_denominators``, ``build_certificate`` and ``spectral_radius_nonneg``
 are the full-size reference for the tests and the benchmark, not a solve
@@ -387,13 +388,20 @@ def build_certificate(profile: WeightProfile, sol: FixedPointSolution) -> Contra
 # solvers
 # ---------------------------------------------------------------------------
 
+def _iterate(profile: WeightProfile, zs: np.ndarray, cfg: SolverConfig, e=None):
+    """_anderson on every z from e, a warm start checked to lie in C+, or the cold start."""
+    if e is None:
+        e = _cold_start(profile, zs.imag)
+    else:
+        _check_upper(e)
+    return _anderson(profile.reduced, profile.c, e, zs, cfg)
+
+
 def _solve(profile: WeightProfile, points, cfg: SolverConfig, e=None) -> list:
     """Iterate every point in one block from e (default: cold start), then certify."""
     red = profile.reduced
     zs = np.array([p.z for p in points])
-    if e is None:
-        e = _cold_start(profile, zs.imag)
-    e, res, iters = _anderson(red, profile.c, e, zs, cfg)
+    e, res, iters = _iterate(profile, zs, cfg, e)
     g, rho, defect, ok = _finish(profile, e, zs, res, cfg.tol)
     return [FixedPointSolution(
                 z=pt, e0=_expand(red, e[:, p]), residual=float(res[p]), rho_C0=float(rho[p]),
@@ -415,10 +423,7 @@ def solve_e0(profile: WeightProfile, z, cfg: SolverConfig | None = None,
     """
     z = _as_z(z)
     point = SpectralPoint(z.real, z.imag)
-    e = None
-    if warm_start is not None:
-        e = _restrict(profile.reduced, warm_start)[:, None]
-        _check_upper(e)
+    e = None if warm_start is None else _restrict(profile.reduced, warm_start)[:, None]
     return _solve(profile, [point], cfg or SolverConfig(), e)[0]
 
 
@@ -446,14 +451,9 @@ def solve_batch(profile: WeightProfile, xs, v: float, cfg: SolverConfig | None =
     (e_red, residuals, iterations) with e_red of shape
     (unique columns, len(xs)).
     """
-    cfg = cfg or SolverConfig()
     zs = np.asarray(xs, dtype=float) + 1j * v
-    if warm is not None:
-        e = np.array(warm, dtype=complex, order="C")
-        _check_upper(e)
-    else:
-        e = _cold_start(profile, np.full(len(zs), float(v)))
-    return _anderson(profile.reduced, profile.c, e, zs, cfg)
+    e = None if warm is None else np.asarray(warm, dtype=complex)
+    return _iterate(profile, zs, cfg or SolverConfig(), e)
 
 
 def batch_G(profile: WeightProfile, e_red: np.ndarray, xs, v: float) -> np.ndarray:

@@ -4,8 +4,9 @@ The main tool is a metric on sub-probability distribution functions built
 from a countable family of trapezoid test functions: f takes the constant
 value 1/m on [a, b] (a, b rational), ramps linearly to zero over [a - 1/m, a]
 and [b, b + 1/m], and vanishes outside.  The metric is
-sum_i |int f_i dF - int f_i dG| 2^{-i}; truncating at i_max leaves a tail of
-at most 2^{1 - i_max} since every term is bounded by 2.
+sum_i |int f_i dF - int f_i dG| 2^{-i}; d_metric truncates at I_MAX = 24
+terms, which leaves a tail of at most TAIL_BOUND = 2^{1 - I_MAX} since
+every term is bounded by 2: the true value lies in [d, d + TAIL_BOUND].
 
 Enumeration freeze: index i runs over tuples (m, p_a, q_a, p_b, q_b) with
 1 <= q <= m, |p| <= m q, a = p_a/q_a < b = p_b/q_b, ordered by m then
@@ -13,7 +14,7 @@ lexicographically, deduplicated on the rational values (m, a, b), 1-based.
 Any enumeration induces the same topology; a fixed one makes reported
 values reproducible.  Reported metric values are enumeration-relative.
 
-d_metric evaluates its i_max test functions at once, as one (i_max, points)
+d_metric evaluates its I_MAX test functions at once, as one (I_MAX, points)
 array built from a cached table of 1/m, a and b by the formula that
 TestFunctionIndex.__call__ applies to one function: an empirical integral
 is a row mean, a curve integral a row trapezoid plus the atom term.  A
@@ -35,7 +36,8 @@ import numpy as np
 from .core import DensityCurve, EmpiricalDistribution
 from .stieltjes import _trapezoid_steps
 
-DEFAULT_I_MAX = 24   # tail 2^-23 ~ 1.2e-7, below every comparison tolerance
+I_MAX = 24                        # terms of the truncated metric
+TAIL_BOUND = 2.0 ** (1 - I_MAX)   # 2^-23 ~ 1.2e-7, below every comparison tolerance
 
 
 def _trapezoid_fn(x, w, a, b):
@@ -87,26 +89,24 @@ def _level(m: int) -> tuple:
 
 
 @functools.cache
-def _table(i_max: int):
-    """(1/m, a, b) of the first i_max test functions, each a read-only (i_max, 1) column."""
-    fs = [TestFunctionIndex.from_index(i) for i in range(1, i_max + 1)]
+def _table():
+    """(1/m, a, b) of the first I_MAX test functions, each a read-only (I_MAX, 1) column."""
+    fs = [TestFunctionIndex.from_index(i) for i in range(1, I_MAX + 1)]
     cols = [np.array(col)[:, None] for col in zip(*((1.0 / f.m, float(f.a), float(f.b)) for f in fs))]
     for col in cols:
         col.setflags(write=False)
     return tuple(cols)
 
 
-def _integrals(F, i_max: int):
-    """int f_i dF for i = 1..i_max: exact atom means for empirical F, trapezoid for a curve.
+def _integrals(F):
+    """int f_i dF for i = 1..I_MAX: exact atom means for empirical F, trapezoid for a curve.
 
-    Row i of each (i_max, points) array holds f_i at every point.  A curve
+    Row i of each (I_MAX, points) array holds f_i at every point.  A curve
     integrates by its own CDF's rule, adding nothing across a gap.
     """
     if isinstance(F, TestIntegrals):
-        if len(F.values) != i_max:
-            raise ValueError(f"integrals of {len(F.values)} test functions, not i_max = {i_max}")
         return F.values
-    table = _table(i_max)
+    table = _table()
     if isinstance(F, EmpiricalDistribution):
         return _trapezoid_fn(F.atoms, *table).mean(axis=1).tolist()
     if isinstance(F, DensityCurve):
@@ -121,10 +121,10 @@ def _integrals(F, i_max: int):
 
 @dataclass(frozen=True)
 class TestIntegrals:
-    """int f_i dF for i = 1..i_max of one distribution, evaluated once.
+    """int f_i dF for i = 1..I_MAX of one distribution, evaluated once.
 
     d_metric takes it in place of the distribution, so a curve compared
-    with many spectra has its (i_max, points) integrals evaluated once,
+    with many spectra has its (I_MAX, points) integrals evaluated once,
     not once per call; the metric's value is the same bit for bit.
     """
 
@@ -133,27 +133,19 @@ class TestIntegrals:
     values: tuple
 
     @classmethod
-    def of(cls, F, i_max: int = DEFAULT_I_MAX) -> "TestIntegrals":
-        return cls(tuple(_integrals(F, i_max)))
+    def of(cls, F) -> "TestIntegrals":
+        return cls(tuple(_integrals(F)))
 
 
-@dataclass(frozen=True)
-class DMetricResult:
-    value: float
-    tail_bound: float
+def d_metric(F, G) -> float:
+    """Truncated test-function metric; the true value lies in [d, d + TAIL_BOUND].
 
-
-def d_metric(F, G, i_max: int = DEFAULT_I_MAX) -> DMetricResult:
-    """Truncated test-function metric; the true value lies in [value, value + tail].
-
-    F and G are distributions, or their TestIntegrals for this i_max.
+    F and G are distributions, or their TestIntegrals.
     """
-    if i_max < 1:
-        raise ValueError("i_max must be at least 1")
     total = 0.0
-    for i, (f, g) in enumerate(zip(_integrals(F, i_max), _integrals(G, i_max)), start=1):
+    for i, (f, g) in enumerate(zip(_integrals(F), _integrals(G)), start=1):
         total += abs(f - g) * 2.0 ** (-i)
-    return DMetricResult(value=total, tail_bound=2.0 ** (1 - i_max))
+    return total
 
 
 def ks_distance(F: EmpiricalDistribution, G) -> float:

@@ -6,8 +6,10 @@ seed is an argument of empirical_spectrum, one substream per trial.  The
 truncation/centering/rescaling pipeline reproduces the bounded-entry
 reduction: clip at eta_n sqrt(n), subtract the exact truncated mean of the
 family, divide by the exact truncated standard deviation.  The moments are
-exact (closed forms or atom enumeration), never sample means, and a clip
-level that leaves the family no variance is refused with a ValueError.
+exact (closed forms or atom enumeration), never sample means.  eta_n is a
+plain float, checked where it is used: truncate_center_rescale refuses a
+non-positive (or NaN) eta_n and a clip level that leaves the family no
+variance, each with a ValueError.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ class TruncatedMoments:
 
     mean: complex
     sigma2: float
-    clip_probability: float
 
 
 def _family_atoms(sampler: EntrySampler):
@@ -109,71 +110,53 @@ def truncated_moments(sampler: EntrySampler, threshold: float) -> TruncatedMomen
     atoms = _family_atoms(sampler)
     if atoms is not None:
         # a complex entry is clipped on its modulus, which couples the parts
-        mean, m2, clip = 0.0, 0.0, 0.0
+        mean, m2 = 0.0, 0.0
         for v, p in atoms:
             if abs(v) <= T:
                 mean += v * p
                 m2 += abs(v) ** 2 * p
-            else:
-                clip += p
-        return TruncatedMoments(complex(mean), m2 - abs(mean) ** 2, clip)
+        return TruncatedMoments(complex(mean), m2 - abs(mean) ** 2)
 
     if not sampler.complex_entries:
         if fam == "gaussian":
             phi = math.exp(-T * T / 2.0) / math.sqrt(2.0 * math.pi)
-            inside = math.erf(T / math.sqrt(2.0))
-            return TruncatedMoments(0j, inside - 2.0 * T * phi, 1.0 - inside)
+            return TruncatedMoments(0j, math.erf(T / math.sqrt(2.0)) - 2.0 * T * phi)
         a = _UNIFORM_HALF_WIDTH   # uniform_pm
-        m = min(T, a)
-        return TruncatedMoments(0j, m**3 / (3.0 * a), max(0.0, 1.0 - m / a))
+        return TruncatedMoments(0j, min(T, a) ** 3 / (3.0 * a))
 
     if fam == "gaussian":
         # |x|^2 is standard exponential
-        m2 = 1.0 - (1.0 + T * T) * math.exp(-T * T)
-        return TruncatedMoments(0.0 + 0.0j, m2, math.exp(-T * T))
+        return TruncatedMoments(0.0 + 0.0j, 1.0 - (1.0 + T * T) * math.exp(-T * T))
     # uniform parts on [-b, b] with b = sqrt(3/2): the square/disk overlap
     # splits into closed-form polar wedges at theta* = arccos(b/T)
     b = math.sqrt(1.5)
     if T >= b * math.sqrt(2.0):
-        return TruncatedMoments(0.0 + 0.0j, 1.0, 0.0)
+        return TruncatedMoments(0.0 + 0.0j, 1.0)
     if T <= b:
-        m2 = math.pi * T**4 / (8.0 * b * b)
-        p_in = math.pi * T * T / (4.0 * b * b)
-    else:
-        theta = math.acos(b / T)
-        tan = math.tan(theta)
-        wedge_m2 = (b**4 / 4.0) * (tan + tan**3 / 3.0) + (T**4 / 4.0) * (math.pi / 4.0 - theta)
-        wedge_area = (b * b / 2.0) * tan + (T * T / 2.0) * (math.pi / 4.0 - theta)
-        m2 = 2.0 * wedge_m2 / (b * b)
-        p_in = 2.0 * wedge_area / (b * b)
-    return TruncatedMoments(0.0 + 0.0j, m2, 1.0 - p_in)
+        return TruncatedMoments(0.0 + 0.0j, math.pi * T**4 / (8.0 * b * b))
+    theta = math.acos(b / T)
+    tan = math.tan(theta)
+    wedge_m2 = (b**4 / 4.0) * (tan + tan**3 / 3.0) + (T**4 / 4.0) * (math.pi / 4.0 - theta)
+    return TruncatedMoments(0.0 + 0.0j, 2.0 * wedge_m2 / (b * b))
 
 
 # ---------------------------------------------------------------------------
 # truncation pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncationPipelineConfig:
-    """Clip level multiplier of the pipeline."""
-
-    eta_n: float
-
-    def __post_init__(self):
-        if not self.eta_n > 0:
-            raise ValueError("eta_n must be positive")
-
-
-def truncate_center_rescale(X: np.ndarray, cfg: TruncationPipelineConfig,
+def truncate_center_rescale(X: np.ndarray, eta_n: float,
                             sampler: EntrySampler) -> tuple[np.ndarray, np.ndarray]:
     """Clip entries at eta_n sqrt(n), center and rescale by the exact moments.
 
     The moments are those of the sampler's family truncated at the same
-    level (truncated_moments).  Returns (matrix, truncated_mask); a clip
-    level that leaves (near) zero variance raises ValueError.
+    level (truncated_moments).  Returns (matrix, truncated_mask); eta_n must
+    be positive, and a clip level that leaves (near) zero variance raises
+    ValueError.
     """
+    if not eta_n > 0:
+        raise ValueError("eta_n must be positive")
     X = np.asarray(X)
-    T = cfg.eta_n * math.sqrt(X.shape[0])
+    T = eta_n * math.sqrt(X.shape[0])
     mom = truncated_moments(sampler, T)
     sigma = math.sqrt(max(mom.sigma2, 0.0))
     if sigma < _DEGENERATE_SIGMA:
@@ -213,17 +196,19 @@ def hermitian_eigenvalues(B: np.ndarray) -> np.ndarray:
 
 
 def empirical_spectrum(profile: WeightProfile, sampler: EntrySampler,
-                       pipeline: TruncationPipelineConfig | None = None,
-                       trials: int = 1, seed: int = 0):
-    """One eigenvalue e.d.f. per trial; trial t draws from SeedSequence([seed, t])."""
+                       eta_n: float | None = None, trials: int = 1, seed: int = 0):
+    """One eigenvalue e.d.f. per trial; trial t draws from SeedSequence([seed, t]).
+
+    With eta_n the entries go through truncate_center_rescale first.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     out = []
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), t]))
         X = _draw(rng, profile.n, profile.N, sampler)
-        if pipeline is not None:
-            X, _ = truncate_center_rescale(X, pipeline, sampler)
+        if eta_n is not None:
+            X, _ = truncate_center_rescale(X, eta_n, sampler)
         B = build_B(profile, X)
         out.append(EmpiricalDistribution(hermitian_eigenvalues(B)))
     return out

@@ -216,17 +216,18 @@ def cdf_interval(profile: WeightProfile, a: float, b: float, eta,
                  solver_cfg: SolverConfig | None = None) -> float:
     """Smoothed mass (1/pi) int_a^b Im G(xi + i eta) d xi.
 
-    eta is one height or a schedule in any order; a schedule is swept from
-    its largest height down and Richardson-extrapolated (unguarded) from
-    its two smallest.  The rule is 8-point Gauss-Legendre on panels at most
-    2 eta_min wide, with a panel edge at 0 when 0 lies inside (a, b).
+    eta is one height or a schedule valid by _eta_schedule (strictly
+    descending); a schedule is swept from its first height down and
+    Richardson-extrapolated (unguarded) from its two smallest.  The rule is
+    8-point Gauss-Legendre on panels at most 2 eta_min wide, with a panel
+    edge at 0 when 0 lies inside (a, b).
     Im G(x + i eta) is analytic for |Im x| < eta, so the rule converges
     geometrically on such panels, and all levels share the nodes, so warm
     starts carry down the schedule.  Memory is O(nodes x unique columns),
     with 4 (b - a) / eta_min nodes.  Raises QuadratureStallError when a
     node has not converged at a height the result uses.
     """
-    etas = _eta_schedule(sorted(np.atleast_1d(eta).astype(float), reverse=True))
+    etas = _eta_schedule(np.atleast_1d(eta))
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("interval endpoints must be finite")
     if a > b:

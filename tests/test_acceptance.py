@@ -15,7 +15,6 @@ from hadspec import (
     EntrySampler,
     ExperimentSpec,
     InversionConfig,
-    TruncationPipelineConfig,
     ZGrid,
     build_B,
     d_metric,
@@ -31,7 +30,7 @@ from hadspec import (
     validate_profile,
 )
 from hadspec.experiments import default_x_grid
-from hadspec.metrics import DEFAULT_I_MAX
+from hadspec.metrics import TAIL_BOUND
 from hadspec.random_spectra import truncated_moments
 from hadspec.stieltjes import density_curve
 
@@ -140,7 +139,7 @@ def test_criterion_5_monte_carlo_agreement():
     med_d = [rep.medians[s]["d_value"] for s in spec.sizes]
     decreasing = all(a > b for a, b in zip(meds, meds[1:]))
     dominated = all(r.d_value <= 2 * r.ks + r.d_tail for r in rep.rows if not r.error)
-    dominated &= all(d <= 2 * k + 2.0 ** (1 - DEFAULT_I_MAX) for d, k in zip(med_d, meds))
+    dominated &= all(d <= 2 * k + TAIL_BOUND for d, k in zip(med_d, meds))
     elapsed = time.perf_counter() - t0
     report("criterion 5 (Monte Carlo agreement)",
            decreasing and meds[-1] <= 0.06 and dominated and elapsed < 300.0,
@@ -175,8 +174,7 @@ def test_criterion_7_perturbation_lemmas():
         sampler = EntrySampler("gaussian")
         X = sample_matrix(n, N, sampler, trial)
         T = 3.5   # clips a handful of entries, so the row bound has teeth
-        _, mask = truncate_center_rescale(X, TruncationPipelineConfig(eta_n=T / math.sqrt(n)),
-                                          sampler)
+        _, mask = truncate_center_rescale(X, T / math.sqrt(n), sampler)
         clipped = np.where(mask, 0.0, X)
         rows_touched = int(mask.any(axis=1).sum())
         F = EmpiricalDistribution(hermitian_eigenvalues(build_B(profile, X)))
@@ -198,7 +196,7 @@ def test_criterion_7_perturbation_lemmas():
         dm = d_metric(EmpiricalDistribution(np.sort(sa)), EmpiricalDistribution(np.sort(sb)))
         chain_mid = float(np.mean(np.abs(sa - sb)))
         rms = math.sqrt(lhs / q)
-        ok &= dm.value <= chain_mid + 1e-12 <= rms + 1e-12
+        ok &= dm <= chain_mid + 1e-12 <= rms + 1e-12
         details.append(f"t{trial}: ks {ks:.3f} <= {rows_touched}/{n}")
     report("criterion 7 (perturbation lemmas)", ok, "; ".join(details))
 

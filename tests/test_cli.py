@@ -138,6 +138,14 @@ class TestSolveCommand:
             assert float(row["rho_C0"]) < 1.0
             assert float(row["identity_defect"]) <= 1e-9
 
+    def test_negative_real_part_joined_with_equals(self, tmp_path):
+        # a separate -0.5+2.5e-3i reads as an option; --z= keeps it a value
+        out = str(tmp_path / "solve.csv")
+        assert run_cli(["solve", "--profile", "ones", "--n", "4", "--N", "4",
+                        "--z=-0.5+2.5e-3i", "-o", out]) == 0
+        header, row = (line.split(",") for line in read_text(out).strip().splitlines())
+        assert float(dict(zip(header, row))["x"]) == -0.5
+
     def test_missing_required_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--profile", "ones", "--n", "4", "--N", "4"])
@@ -176,6 +184,14 @@ class TestSimulateCommand:
                           "--family", "rademacher", "--pipeline-eta", "0.1"])
         assert status == 1
         assert "clip level 0.4 leaves rademacher entries" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_nonpositive_pipeline_eta_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        status = run_cli(["simulate", "--profile", "ones", "--n", "4", "--N", "4",
+                          "--pipeline-eta", "0"])
+        assert status == 1
+        assert "eta_n must be positive" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
 

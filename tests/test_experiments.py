@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -107,6 +108,25 @@ class TestRunExperiment:
         assert cells["2x2"] == {"curve_reused_from": None, "failed_stage": "plan",
                                 "error_type": "ZeroColumnError"}
         assert "failed_stage" not in cells["4x4"] and "error_type" not in cells["4x4"]
+        # medians are read off the trusted rows; a size without one is absent
+        good = [r for r in report.rows if (r.n, r.N) == (4, 4) and r.trusted]
+        assert list(report.medians) == [(4, 4)]
+        assert report.medians[(4, 4)] == {"ks": float(np.median([r.ks for r in good])),
+                                          "d_value": float(np.median([r.d_value for r in good]))}
+
+    def test_error_field_quoted(self, monkeypatch):
+        # a message with a comma stays one CSV field
+        def fail(profile, epsilon):
+            raise ValueError("a, b")
+
+        monkeypatch.setattr(experiments, "plan_truncation", fail)
+        buf = io.StringIO()
+        run_experiment(small_spec()).write_csv(buf)
+        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert len(rows) == 2
+        for row in rows:
+            assert len(row) == 10 and None not in row
+            assert row["error"] == "ValueError: a, b"
 
     def test_manifest_round_trip(self):
         report = run_experiment(small_spec())

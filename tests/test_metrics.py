@@ -12,7 +12,7 @@ from hadspec import (
 )
 from hadspec import SolverConfig, validate_profile
 from hadspec.core import LengthMismatchError
-from hadspec.metrics import TestIntegrals
+from hadspec.metrics import I_MAX, TAIL_BOUND, TestIntegrals
 from hadspec.stieltjes import InversionConfig, density_curve, edge_refined_grid
 
 from _oracles import (
@@ -91,46 +91,41 @@ class TestTestFunction:
 class TestDMetric:
     def test_identity_zero(self):
         F = EmpiricalDistribution(np.array([0.1, 0.7, 2.0]))
-        res = d_metric(F, F)
-        assert res.value == 0.0
-        assert res.tail_bound == pytest.approx(2.0 ** (1 - 24))
+        assert d_metric(F, F) == 0.0
+        assert TAIL_BOUND == pytest.approx(2.0 ** (1 - 24))
 
     def test_global_bound(self):
-        res = d_metric(delta(-50.0), delta(50.0), i_max=12)
-        assert res.value <= 2.0
+        assert d_metric(delta(-50.0), delta(50.0)) <= 2.0
 
     def test_cross_check_against_scratch_enumeration(self):
-        res = d_metric(delta(0.0), delta(1.0), i_max=20)
-        direct = scratch_d_metric_atoms([0.0], [1.0], 20)
-        assert res.value == pytest.approx(direct, abs=1e-15)
+        direct = scratch_d_metric_atoms([0.0], [1.0], I_MAX)
+        assert d_metric(delta(0.0), delta(1.0)) == pytest.approx(direct, abs=1e-15)
         rng = np.random.default_rng(3)
         xs = np.sort(rng.uniform(-2, 2, 6))
         ys = np.sort(rng.uniform(-2, 2, 6))
-        res2 = d_metric(EmpiricalDistribution(xs), EmpiricalDistribution(ys), i_max=20)
-        assert res2.value == pytest.approx(scratch_d_metric_atoms(xs, ys, 20), abs=1e-15)
+        value = d_metric(EmpiricalDistribution(xs), EmpiricalDistribution(ys))
+        assert value == pytest.approx(scratch_d_metric_atoms(xs, ys, I_MAX), abs=1e-15)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(5)
         F = EmpiricalDistribution(np.sort(rng.uniform(-1, 3, 8)))
         G = EmpiricalDistribution(np.sort(rng.uniform(-1, 3, 8)))
-        assert d_metric(F, G).value == d_metric(G, F).value
+        assert d_metric(F, G) == d_metric(G, F)
 
     def test_triangle_inequality_with_tail_slack(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             F, G, H = (EmpiricalDistribution(np.sort(rng.uniform(-2, 2, 5)))
                        for _ in range(3))
-            fh = d_metric(F, H, i_max=16)
-            fg = d_metric(F, G, i_max=16)
-            gh = d_metric(G, H, i_max=16)
-            assert fh.value <= fg.value + gh.value + fh.tail_bound + 1e-15
+            fh, fg, gh = d_metric(F, H), d_metric(F, G), d_metric(G, H)
+            assert fh <= fg + gh + TAIL_BOUND + 1e-15
 
     def test_eq_11_ordering_chain(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             xs = np.sort(rng.uniform(-3, 3, 7))
             ys = np.sort(rng.uniform(-3, 3, 7))
-            value = d_metric(EmpiricalDistribution(xs), EmpiricalDistribution(ys), i_max=20).value
+            value = d_metric(EmpiricalDistribution(xs), EmpiricalDistribution(ys))
             l1 = np.mean(np.abs(xs - ys))
             l2 = wasserstein_sq_bound(xs, ys)
             assert value <= l1 + 1e-12
@@ -141,8 +136,7 @@ class TestDMetric:
         for _ in range(10):
             F = EmpiricalDistribution(np.sort(rng.uniform(-2, 2, 9)))
             G = EmpiricalDistribution(np.sort(rng.uniform(-2, 2, 4)))
-            res = d_metric(F, G)
-            assert res.value <= 2 * ks_distance(F, G) + res.tail_bound
+            assert d_metric(F, G) <= 2 * ks_distance(F, G) + TAIL_BOUND
 
 
 def _mp_curve(atom: float) -> DensityCurve:
@@ -158,14 +152,13 @@ def _mp_curve(atom: float) -> DensityCurve:
 class TestDMetricMatchesPerFunctionLoop:
     """d_metric's one-array evaluation against the per-function reference loop."""
 
-    @pytest.mark.parametrize("i_max", [1, 24, 40])
-    def test_bit_identical(self, i_max):
+    def test_bit_identical(self):
         rng = np.random.default_rng(17)
         F = EmpiricalDistribution(np.sort(rng.uniform(-0.2, 4.2, 128)))
         G = EmpiricalDistribution(np.sort(rng.uniform(0.0, 4.0, 176)))
         curve, curve_atom = _mp_curve(0.0), _mp_curve(0.3)
         for A, B in [(F, G), (F, curve), (curve_atom, F), (curve, curve_atom), (G, G)]:
-            assert d_metric(A, B, i_max).value == d_metric_reference(A, B, i_max)
+            assert d_metric(A, B) == d_metric_reference(A, B, I_MAX)
 
     def test_unsupported_type_raises(self):
         with pytest.raises(TypeError):
@@ -188,24 +181,18 @@ class TestCurveIntegrals:
         assert curve.partial and curve.total_mass == pytest.approx(0.073, abs=5e-4)
         # every test function is at most 1: no integral exceeds the curve's
         # mass (test function 2 once gave 3.252 by spanning the gaps)
-        vals = TestIntegrals.of(curve, 24).values
+        vals = TestIntegrals.of(curve).values
         assert vals[1] <= curve.total_mass
         assert max(vals) <= curve.total_mass
 
-    @pytest.mark.parametrize("i_max", [1, 24, 40])
-    def test_reused_integrals_bit_identical(self, i_max):
+    def test_reused_integrals_bit_identical(self):
         rng = np.random.default_rng(23)
         spectra = [EmpiricalDistribution(np.sort(rng.uniform(-0.2, 4.2, k))) for k in (16, 128)]
         for G in (_mp_curve(0.0), _mp_curve(0.3), _partial_ones_curve(), spectra[0]):
-            cached = TestIntegrals.of(G, i_max)
+            cached = TestIntegrals.of(G)
             for F in spectra:
-                assert d_metric(F, cached, i_max) == d_metric(F, G, i_max)
-                assert d_metric(cached, F, i_max) == d_metric(G, F, i_max)
-
-    def test_i_max_must_match(self):
-        cached = TestIntegrals.of(_mp_curve(0.0), 24)
-        with pytest.raises(ValueError, match="i_max"):
-            d_metric(delta(1.0), cached, 12)
+                assert d_metric(F, cached) == d_metric(F, G)
+                assert d_metric(cached, F) == d_metric(G, F)
 
 
 class TestKSDistance:
@@ -245,8 +232,8 @@ class TestWassersteinBound:
         for _ in range(20):
             xs = np.sort(rng.uniform(-2, 2, 6))
             ys = np.sort(rng.uniform(-2, 2, 6))
-            res = d_metric(EmpiricalDistribution(xs), EmpiricalDistribution(ys), i_max=20)
-            assert res.value <= wasserstein_sq_bound(xs, ys) + res.tail_bound
+            value = d_metric(EmpiricalDistribution(xs), EmpiricalDistribution(ys))
+            assert value <= wasserstein_sq_bound(xs, ys) + TAIL_BOUND
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):

@@ -5,7 +5,6 @@ import pytest
 
 from hadspec import (
     EntrySampler,
-    TruncationPipelineConfig,
     build_B,
     empirical_spectrum,
     hermitian_eigenvalues,
@@ -83,7 +82,6 @@ class TestTruncatedMoments:
         mom = truncated_moments(EntrySampler("two_point_asym"), 1.0)
         assert mom.mean == pytest.approx(0.9 / 3)          # 0.9 * (1/3)
         assert mom.sigma2 == pytest.approx(0.9 / 9 - (0.3) ** 2)
-        assert mom.clip_probability == pytest.approx(0.1)
 
     def test_complex_gaussian_matches_oracle(self):
         for T in (0.7, 1.5, 3.0):
@@ -99,15 +97,13 @@ class TestTruncatedMoments:
     def test_complex_rademacher_modulus_one(self):
         mom = truncated_moments(EntrySampler("rademacher", complex_entries=True), 1.5)
         assert mom.sigma2 == pytest.approx(1.0)
-        assert mom.clip_probability == 0.0
 
 
 class TestTruncateCenterRescale:
     def test_identity_for_bounded_family_above_threshold(self):
         sampler = EntrySampler("rademacher")
         X = sample_matrix(30, 40, sampler, 11)
-        matrix, mask = truncate_center_rescale(
-            X, TruncationPipelineConfig(eta_n=1.5 / math.sqrt(30)), sampler)
+        matrix, mask = truncate_center_rescale(X, 1.5 / math.sqrt(30), sampler)
         assert np.array_equal(matrix, X)
         assert not mask.any()
 
@@ -115,8 +111,7 @@ class TestTruncateCenterRescale:
         n = 200
         sampler = EntrySampler("gaussian")
         X = sample_matrix(n, n, sampler, 13)
-        cfg = TruncationPipelineConfig(eta_n=2.0 / math.sqrt(n))   # threshold T = 2
-        matrix, mask = truncate_center_rescale(X, cfg, sampler)
+        matrix, mask = truncate_center_rescale(X, 2.0 / math.sqrt(n), sampler)   # T = 2
         _, var_o = truncated_normal_moments(2.0)
         bound = 2.0 / math.sqrt(var_o)          # ~2.2737, the derived bound
         assert np.max(np.abs(matrix)) <= bound + 1e-12
@@ -131,16 +126,20 @@ class TestTruncateCenterRescale:
         sampler = EntrySampler("rademacher")
         X = sample_matrix(6, 7, sampler, 5)
         with pytest.raises(ValueError, match="clip level 0.5 leaves rademacher entries"):
-            truncate_center_rescale(X, TruncationPipelineConfig(eta_n=0.5 / math.sqrt(6)),
-                                    sampler)
+            truncate_center_rescale(X, 0.5 / math.sqrt(6), sampler)
+
+    @pytest.mark.parametrize("eta_n", [0.0, -1.0, math.nan])
+    def test_nonpositive_eta_n_refused(self, eta_n):
+        sampler = EntrySampler("rademacher")
+        with pytest.raises(ValueError, match="eta_n must be positive"):
+            truncate_center_rescale(sample_matrix(6, 7, sampler, 5), eta_n, sampler)
 
     def test_centering_uses_exact_family_moments(self):
         # two_point with the -3 atom clipped: exact mean 0.3 is subtracted
         # and the exact standard deviation 0.1 divides
         sampler = EntrySampler("two_point_asym")
         X = sample_matrix(50, 50, sampler, 17)
-        cfg = TruncationPipelineConfig(eta_n=1.0 / math.sqrt(50))
-        matrix, _ = truncate_center_rescale(X, cfg, sampler)
+        matrix, _ = truncate_center_rescale(X, 1.0 / math.sqrt(50), sampler)
         clipped = np.where(np.abs(X) > 1.0, 0.0, X)
         assert np.allclose(matrix, (clipped - 0.3) / 0.1)
 
@@ -235,8 +234,7 @@ class TestPerturbationLemmas:
         n = rand_profile.n
         sampler = EntrySampler("gaussian")
         X = sample_matrix(n, rand_profile.N, sampler, 31)
-        cfg = TruncationPipelineConfig(eta_n=2.4 / math.sqrt(n))
-        _, mask = truncate_center_rescale(X, cfg, sampler)
+        _, mask = truncate_center_rescale(X, 2.4 / math.sqrt(n), sampler)
         assert mask.any()
         rows_touched = int(mask.any(axis=1).sum())
         F = empirical_spectrum_like(rand_profile, X)
@@ -247,8 +245,7 @@ class TestPerturbationLemmas:
         n, N = rand_profile.n, rand_profile.N
         sampler = EntrySampler("gaussian")
         X = sample_matrix(n, N, sampler, 37)
-        T_cfg = TruncationPipelineConfig(eta_n=2.0 / math.sqrt(n))
-        clipped = np.where(truncate_center_rescale(X, T_cfg, sampler)[1], 0.0, X)
+        clipped = np.where(truncate_center_rescale(X, 2.0 / math.sqrt(n), sampler)[1], 0.0, X)
         mom = truncated_moments(sampler, 2.0)
         centered = clipped - mom.mean.real
         hat = centered / math.sqrt(mom.sigma2)

@@ -249,9 +249,10 @@ class TestCdfInterval:
         with pytest.raises(ValueError, match="strictly descending"):
             cdf_interval(ones16, 0.5, 1.5, (1e-2, 1e-2))
 
-    def test_schedule_order_does_not_matter(self, rand_profile):
-        fwd = cdf_interval(rand_profile, 0.5, 1.0, (2e-2, 1e-2))
-        assert cdf_interval(rand_profile, 0.5, 1.0, (1e-2, 2e-2)) == fwd
+    def test_ascending_schedule_refused(self, ones16):
+        # the one rule of InversionConfig, ExperimentSpec and --eta: no reordering
+        with pytest.raises(ValueError, match="strictly descending"):
+            cdf_interval(ones16, 0.5, 1.0, (1e-2, 2e-2))
 
     def test_unconverged_nodes_raise(self):
         # three map applications cannot converge; integrating the stale
