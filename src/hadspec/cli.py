@@ -203,7 +203,8 @@ def cmd_density(args) -> int:
                "atom_at_zero": curve.atom_at_zero, "total_mass": curve.total_mass,
                "partial": curve.partial}
     write_manifest(args.out + ".manifest.json", "density", options, [args.out])
-    print(f"wrote {args.out} (mass {curve.total_mass:.6f}, atom {curve.atom_at_zero:.6f})")
+    print(f"wrote {args.out} (mass {curve.total_mass:.6f}, "
+          f"negative_mass {curve.negative_mass:.6f}, atom {curve.atom_at_zero:.6f})")
     return 1 if curve.partial else 0
 
 

@@ -326,6 +326,15 @@ class DensityCurve:
     def total_mass(self) -> float:
         return float(self.cdf[-1])
 
+    @property
+    def negative_mass(self) -> float:
+        """The curve's mass on x < 0, atom_at_zero excluded; 0 on a grid from 0 up.
+
+        Every eigenvalue of B is at least 0, so this is a floor under the
+        KS distance of the curve to any spectrum.
+        """
+        return float(np.interp(0.0, self.xs, self.cdf - self.atom_at_zero * (self.xs >= 0.0)))
+
     def cdf_at(self, x) -> np.ndarray:
         """Piecewise-linear interpolation of the CDF; clamped outside the grid."""
         return np.interp(np.asarray(x, dtype=float), self.xs, self.cdf,

@@ -131,7 +131,8 @@ class ComparisonReport:
     rows: tuple
     curve_mass: dict       # (n, N) -> total mass of the inverted curve
     total_runtime: float
-    stages: dict           # (n, N) -> stage wall times in s, curve_reused_from, failure
+    stages: dict           # (n, N) -> stage wall times in s, curve_reused_from,
+                           # negative_mass, failure
 
     @property
     def medians(self) -> dict:
@@ -173,7 +174,8 @@ class ComparisonReport:
         """How the run went, for the manifest's unhashed trace block: wall
         times in seconds per size and stage (plan_s includes building the
         profile, invert_s the curve's test-function integrals), the size
-        whose curve a size reused (None when it inverted its own), and a
+        whose curve a size reused (None when it inverted its own), the
+        curve's negative_mass (the floor under every KS of the size), and a
         failed size's failed_stage (plan or invert) and error_type."""
         return {
             "total_runtime_s": self.total_runtime,
@@ -236,6 +238,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
                         for trial in range(spec.trials))
             continue
         curve_mass[(n, N)] = curve.total_mass
+        stage["negative_mass"] = curve.negative_mass
         trusted_cell = certified(diag.residual_max, diag.rho_max, spec.solver.tol)
         seed = _size_seed(spec.master_seed, n, N)
         spectra = empirical_spectrum(profile, spec.sampler, None, spec.trials, seed=seed)

@@ -32,7 +32,8 @@ the product gives the imaginary-part identity defect and the
 Collatz-Wielandt bound max_j (C0 e2)_j / e2_j >= rho(C0), and ``certified``
 (residual <= tol and that bound < 1: uniqueness and local stability)
 defines converged on every path.  Every path enters the kernel through
-``_iterate``, from a warm start checked to lie in C+ or the cold start.
+``_iterate``, from a warm start checked to lie in C+ or from ``_cold_start``,
+whose docstring states where a cold solve begins.
 ``solve_grid`` solves a grid as one cold-started block, ``solve_e0`` one
 point; ``solve_batch`` is the bare kernel on a horizontal line, which the
 inversions in ``stieltjes`` finish with ``_finish`` and ``batch_G`` evaluates.
@@ -157,11 +158,15 @@ def _reduced_G(profile: WeightProfile, denom: np.ndarray) -> np.ndarray:
     return (profile.reduced.row_mult @ (1.0 / denom)) / profile.n
 
 
-def _cold_start(profile: WeightProfile, v) -> np.ndarray:
-    # exact large-v asymptote: e_j ~ i t_j / v, t_j the column masses
+def _cold_start(profile: WeightProfile, zs) -> np.ndarray:
+    """Where a solve without a warm start begins: one reduced column per point of zs.
+
+    The rule is e_j = i t_j / Im z, with t_j = (1/n) sum_i d_ij^2 the column
+    masses: the exact asymptote of e0_j(z) as Im z grows, in C+ at every z.
+    """
     red = profile.reduced
     t_red = (red.row_mult @ red.d2) / profile.n
-    return 1j * (t_red[:, None] / np.atleast_1d(v))
+    return 1j * (t_red[:, None] / np.atleast_1d(zs).imag)
 
 
 def _expand(red, e_red: np.ndarray) -> np.ndarray:
@@ -391,7 +396,7 @@ def build_certificate(profile: WeightProfile, sol: FixedPointSolution) -> Contra
 def _iterate(profile: WeightProfile, zs: np.ndarray, cfg: SolverConfig, e=None):
     """_anderson on every z from e, a warm start checked to lie in C+, or the cold start."""
     if e is None:
-        e = _cold_start(profile, zs.imag)
+        e = _cold_start(profile, zs)
     else:
         _check_upper(e)
     return _anderson(profile.reduced, profile.c, e, zs, cfg)
@@ -414,12 +419,12 @@ def solve_e0(profile: WeightProfile, z, cfg: SolverConfig | None = None,
              warm_start=None) -> FixedPointSolution:
     """Solve the coupled system at one point of the upper half-plane.
 
-    solve_grid at one point.  Cold start is the exact large-v asymptote
-    e_j = i t_j / v with t_j = (1/n) sum_i d_ij^2.  The iterate never leaves
-    the upper half-plane; on hitting max_iter the best iterate is returned
-    with converged=False rather than raising.  A warm start that differs
-    across identical profile columns is collapsed to its first-column
-    representatives (the fixed point is column-symmetric).
+    solve_grid at one point.  Without a warm start it begins at
+    _cold_start(profile, z).  The iterate never leaves the upper half-plane;
+    on hitting max_iter the best iterate is returned with converged=False
+    rather than raising.  A warm start that differs across identical
+    profile columns is collapsed to its first-column representatives (the
+    fixed point is column-symmetric).
     """
     z = _as_z(z)
     point = SpectralPoint(z.real, z.imag)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hadspec import validate_profile
+from hadspec import stieltjes, validate_profile
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +31,28 @@ def repeated_profile():
     """Block profile whose 6 rows and 9 columns collapse to 3 x 3 unique ones."""
     base = np.array([[0.5, 1.5, 1.0], [2.0, 0.3, 1.0], [1.0, 1.0, 0.2]])
     return validate_profile(np.repeat(np.repeat(base, [2, 1, 3], axis=0), [3, 2, 4], axis=1))
+
+
+@pytest.fixture
+def uncertify(monkeypatch):
+    """Leave chosen points of the inversion sweeps uncertified, whatever their solve did.
+
+    uncertify({eta: abscissae, ...}) wraps stieltjes._finish so that every
+    point x + i eta whose x is among the abscissae given for its level eta
+    comes back with certified False; G, the certificate, the iterates and
+    every other point are left as solved.  A later call replaces the
+    pattern.  Returns the list of the zs that _finish has seen, one array
+    per level of each sweep, in order.
+    """
+    finish, seen = stieltjes._finish, []
+
+    def install(pattern):
+        def cleared(profile, e_red, zs, res, tol):
+            seen.append(zs)
+            g, rho, defect, ok = finish(profile, e_red, zs, res, tol)
+            return g, rho, defect, ok & ~np.isin(zs.real, pattern.get(zs.imag[0], ()))
+
+        monkeypatch.setattr(stieltjes, "_finish", cleared)
+        return seen
+
+    return install

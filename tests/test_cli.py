@@ -8,6 +8,7 @@ import pytest
 
 from hadspec.cli import build_parser, main, parse_sizes, parse_z
 from hadspec.experiments import default_x_grid, make_profile
+from hadspec.stieltjes import InversionConfig, density_curve
 
 
 def run_cli(args, capsys=None):
@@ -69,6 +70,13 @@ class TestDensityCommand:
         manifest = read_json(out + ".manifest.json")
         assert manifest["command"] == "density"
         assert manifest["outputs"] == [out]
+        # stdout states the curve's mass below 0 next to its total mass
+        profile = make_profile("ones", 128, 128)
+        curve = density_curve(profile, InversionConfig(default_x_grid(profile, -0.5, 4.5)))
+        assert capsys.readouterr().out == (
+            f"wrote {out} (mass {curve.total_mass:.6f}, "
+            f"negative_mass {curve.negative_mass:.6f}, atom {curve.atom_at_zero:.6f})\n")
+        assert curve.negative_mass > 0.0
 
     def test_no_partial_files_left(self, tmp_path):
         out = str(tmp_path / "density.csv")
@@ -323,6 +331,10 @@ class TestCompareManifest:
         assert cells["24x24"]["curve_reused_from"] == "16x16"   # a constant sweep inverts once
         for rec in cells.values():
             assert all(rec[k] >= 0 for k in ("plan_s", "invert_s", "simulate_s", "compare_s"))
+        # each size's curve mass below 0, a floor under the KS of its rows
+        assert cells["16x16"]["negative_mass"] == cells["24x24"]["negative_mass"] > 0.0
+        rows = read_text(a + ".csv").strip().splitlines()[1:]
+        assert all(float(r.split(",")[5]) >= cells["16x16"]["negative_mass"] - 1e-12 for r in rows)
 
 
 def config_matches_flags(tmp_path, command, keys, payload):

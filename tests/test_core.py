@@ -208,3 +208,20 @@ class TestDensityCurve:
         assert c.cdf_at(5.0) == 1.0
         assert c.cdf_at(0.5) == pytest.approx(0.5)
         assert not c.partial
+
+    def test_negative_mass(self):
+        # mass 0.25 on [-1, 0), then an atom of 0.5 at 0 and 0.25 on (0, 1]
+        xs = np.array([-1.0, -0.5, 0.0, 1.0])
+        c = DensityCurve(xs=xs, density=np.array([0.0, 0.5, 0.5, 0.0]),
+                         cdf=np.array([0.0, 0.125, 0.75, 1.0]), eta_used=(1e-2,),
+                         atom_at_zero=0.5)
+        assert c.negative_mass == 0.25
+        # 0 between grid points: the CDF is interpolated there, the atom left out
+        c = DensityCurve(xs=np.array([-1.0, 1.0]), density=np.array([0.0, 0.0]),
+                         cdf=np.array([0.1, 0.9]), eta_used=(1e-2,), atom_at_zero=0.6)
+        assert c.negative_mass == pytest.approx(0.2)
+        # a grid from 0 up puts no mass below 0, atom or not
+        for lo, atom in [(0.0, 0.0), (0.0, 0.3), (0.5, 0.0)]:
+            c = DensityCurve(xs=np.array([lo, 2.0]), density=np.array([1.0, 1.0]),
+                             cdf=np.array([atom, 1.0]), eta_used=(1e-2,), atom_at_zero=atom)
+            assert c.negative_mass == 0.0

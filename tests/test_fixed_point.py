@@ -339,6 +339,30 @@ class TestLocalContraction:
             assert all(b < a for a, b in zip(tail, tail[1:]))
 
 
+class TestColdStart:
+    SHAPES = [(8, 8), (16, 4), (4, 16), (1, 50)]
+
+    @pytest.mark.parametrize("n,N", SHAPES)
+    def test_finite_and_in_upper_half_plane(self, n, N):
+        profile = make_profile("iid_uniform:0,2", n, N, seed=7)
+        x, v = np.meshgrid(np.linspace(-50.0, 50.0, 41), np.logspace(-12, 8, 41))
+        zs = (x + 1j * v).ravel()
+        e = fp._cold_start(profile, zs)
+        assert e.shape == (profile.reduced.d2.shape[1], len(zs))
+        assert np.all(np.isfinite(e))
+        assert np.all(e.imag > 0)
+
+    @pytest.mark.parametrize("n,N", SHAPES)
+    def test_scale_equivariant(self, n, N):
+        # the start at (D, z) is the start at (aD, a^2 z), as e0 itself is
+        profile = make_profile("iid_uniform:0,2", n, N, seed=7)
+        zs = np.array([-3.0 + 1e-3j, 0.5 + 0.01j, 2.0 + 1.0j, 40.0 + 1e4j])
+        for a in (1e-3, 0.5, 3.0, 1e3):
+            scaled = validate_profile(a * profile.entries)
+            assert np.allclose(fp._cold_start(scaled, a**2 * zs), fp._cold_start(profile, zs),
+                               rtol=1e-14, atol=0.0)
+
+
 class TestSolveGrid:
     def test_single_point_equals_solve_e0(self, rand_profile):
         z = 0.6 + 0.7j
@@ -370,7 +394,8 @@ class TestSolveGrid:
         start error, sets the count, so solve_grid no longer warm-starts
         from solved neighbours and its z=i point is the cold solve.  A warm
         start halves the cost only when it lands within sqrt(tol) of the
-        target, as with near-duplicate points.
+        target, as with near-duplicate points.  It measures _cold_start on
+        purpose and is re-measured when the start changes.
         """
         grid = ZGrid((SpectralPoint(0.0, 10.0), SpectralPoint(0.0, 1.0)))
         first, second = solve_grid(ones16, grid)
@@ -385,10 +410,15 @@ class TestSolveGrid:
         assert near.iterations <= cold.iterations / 2
 
     def test_mixed_grid_matches_per_point_solve_e0(self, rand_profile):
-        # x and v both vary; the budget leaves two near-axis points
-        # unconverged but already contracting (residual <= 2.2e-6).  Stopped
-        # farther out (max_iter=15, residual 0.06) the map amplifies the
-        # rounding gap between block and single BLAS products to ~1e-9
+        """A block solve and per-point solves agree, converged or not.
+
+        x and v both vary; the budget leaves two near-axis points
+        unconverged but already contracting (residual <= 2.2e-6).  Stopped
+        farther out (max_iter=15, residual 0.06) the map amplifies the
+        rounding gap between block and single BLAS products to ~1e-9.  The
+        budget is measured from _cold_start and is re-measured when the
+        start changes.
+        """
         cfg = SolverConfig(max_iter=20)
         grid = ZGrid.product([-0.5, 0.3, 1.2, 3.5], [2.0, 0.2, 0.01])
         sols = solve_grid(rand_profile, grid, cfg)
@@ -554,7 +584,7 @@ class TestAndersonKernel:
         e_red, res, iters = solve_batch(rand_profile, xs, v, SolverConfig(tol=1e-15, max_iter=steps))
         assert np.all(iters == steps) and np.all(res > 1e-15)
         zs = xs + 1j * v
-        e = fp._cold_start(rand_profile, np.full(len(xs), v))
+        e = fp._cold_start(rand_profile, zs)
         for _ in range(steps - 1):
             e = _map(rand_profile.reduced, rand_profile.c, e, zs)
         assert np.max(np.abs(e_red - e)) <= 1e-15 * np.max(np.abs(e))

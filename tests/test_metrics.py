@@ -10,7 +10,8 @@ from hadspec import (
     d_metric,
     ks_distance,
 )
-from hadspec import SolverConfig, validate_profile
+from hadspec import EntrySampler, empirical_spectrum, make_profile, validate_profile
+from hadspec.experiments import default_x_grid
 from hadspec.core import LengthMismatchError
 from hadspec.metrics import I_MAX, TAIL_BOUND, TestIntegrals
 from hadspec.stieltjes import InversionConfig, density_curve, edge_refined_grid
@@ -167,28 +168,37 @@ class TestDMetricMatchesPerFunctionLoop:
             d_metric([0.0, 1.0], delta(0.0))
 
 
-def _partial_ones_curve(max_iter: int = 7) -> DensityCurve:
-    # ones 16x16 under a 7-step budget: 0.073 of mass left between gaps,
-    # one beside the spike at 0 spanning x = 0.04 to 4.0
-    ones = validate_profile(np.ones((16, 16)))
-    cfg = InversionConfig(x_grid=edge_refined_grid(-0.5, 4.5, n_uniform=41, n_edge=10))
-    return density_curve(ones, cfg, SolverConfig(max_iter=max_iter))
+ONES_GRID = edge_refined_grid(-0.5, 4.5, n_uniform=41, n_edge=10)
+# grid points left uncertified: three inside the spike at 0, then every
+# point from x = 0.0625 to 3.875, so one step spans x = 0.04 to 4.0
+ONES_GAPS = ONES_GRID[np.r_[12:15, 18:54]]
+
+
+@pytest.fixture
+def ones_curves(uncertify) -> tuple:
+    """The ones 16x16 curve on ONES_GRID with ONES_GAPS uncertified, and in full."""
+    ones, cfg = validate_profile(np.ones((16, 16))), InversionConfig(x_grid=ONES_GRID)
+    full = density_curve(ones, cfg)
+    uncertify({5e-3: ONES_GAPS})
+    return density_curve(ones, cfg), full
 
 
 class TestCurveIntegrals:
-    def test_partial_curve_adds_nothing_across_gaps(self):
-        curve = _partial_ones_curve()
-        assert curve.partial and curve.total_mass == pytest.approx(0.073, abs=5e-4)
+    def test_partial_curve_adds_nothing_across_gaps(self, ones_curves):
+        curve, full = ones_curves
+        kept = ~np.isin(ONES_GRID, ONES_GAPS)
+        kept_mass = np.diff(full.cdf)[kept[1:] & kept[:-1]].sum()
+        assert curve.partial and curve.total_mass == pytest.approx(kept_mass, rel=1e-12)
         # every test function is at most 1: no integral exceeds the curve's
         # mass (test function 2 once gave 3.252 by spanning the gaps)
         vals = TestIntegrals.of(curve).values
         assert vals[1] <= curve.total_mass
         assert max(vals) <= curve.total_mass
 
-    def test_reused_integrals_bit_identical(self):
+    def test_reused_integrals_bit_identical(self, ones_curves):
         rng = np.random.default_rng(23)
         spectra = [EmpiricalDistribution(np.sort(rng.uniform(-0.2, 4.2, k))) for k in (16, 128)]
-        for G in (_mp_curve(0.0), _mp_curve(0.3), _partial_ones_curve(), spectra[0]):
+        for G in (_mp_curve(0.0), _mp_curve(0.3), ones_curves[0], spectra[0]):
             cached = TestIntegrals.of(G)
             for F in spectra:
                 assert d_metric(F, cached) == d_metric(F, G)
@@ -218,6 +228,16 @@ class TestKSDistance:
         # interpolation bound: largest cdf increment between grid nodes
         bound = np.max(np.diff(curve.cdf))
         assert ks_distance(F, curve) <= bound + 1e-12
+
+    @pytest.mark.parametrize("gen,n,N", [("constant", 48, 48), ("iid_uniform:0,2", 48, 48),
+                                         ("block:0.5,1.5", 48, 48), ("iid_uniform:0,2", 64, 32)])
+    def test_negative_mass_is_a_floor(self, gen, n, N):
+        # B has no eigenvalue below 0 (up to rounding), so no spectrum is
+        # closer to a curve than the curve's mass on x < 0
+        profile = make_profile(gen, n, N, seed=5)
+        curve = density_curve(profile, InversionConfig(x_grid=default_x_grid(profile)))
+        for spectrum in empirical_spectrum(profile, EntrySampler("gaussian"), trials=3, seed=9):
+            assert ks_distance(spectrum, curve) >= curve.negative_mass - 1e-12
 
 
 class TestWassersteinBound:

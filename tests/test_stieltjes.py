@@ -10,9 +10,22 @@ from hadspec.stieltjes import (
     mass_check,
 )
 
+from hadspec import stieltjes
 from hadspec.experiments import default_x_grid
 
 from _oracles import cdf_interval_quad, mp_density_c1, mp_cdf_c1
+
+
+# gaps by index into the 59-point grid edge_refined_grid(-0.5, 4.5, 41, 10),
+# keyed by the budget of map applications that once left them on ones 16x16:
+# one wide gap; the gap beside the spike at 0 from x = 0.04 to 4.0, after
+# one inside the spike; one gap from 0.25 to 4.0; and five narrow ones
+GAPS = {
+    "6": np.r_[10:55],
+    "7": np.r_[12:15, 18:54],
+    "8": np.r_[25:54],
+    "9": np.r_[29:31, 41:45, 46:48, 49, 51:53],
+}
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +70,7 @@ class TestDensityCurve:
         assert diag.residual_max <= 1e-12
         assert diag.rho_max < 1.0
 
-    def test_per_level_diagnostics(self, rand_profile):
+    def test_per_level_diagnostics(self, rand_profile, uncertify):
         cfg = InversionConfig(x_grid=np.linspace(-0.5, 4.0, 31))
         curve, diag = density_curve(rand_profile, cfg, with_diagnostics=True)
         assert tuple(lv.eta for lv in diag.levels) == cfg.eta_sequence
@@ -66,13 +79,20 @@ class TestDensityCurve:
         assert all(lv.unconverged == 0 and 0 <= lv.defect_max <= 1e-10 for lv in diag.levels)
         # the same input gives the same records
         assert density_curve(rand_profile, cfg, with_diagnostics=True)[1] == diag
-        # a short budget: counted per level, and the curve's gaps are the
-        # points uncertified at either of its two finest levels
-        partial, short = density_curve(rand_profile, cfg, SolverConfig(max_iter=8),
-                                       with_diagnostics=True)
-        counts = [lv.unconverged for lv in short.levels]
-        assert counts[0] == 31 and 0 < counts[2] < counts[1] == len(partial.failed_xs)
-        assert short.levels[0].iterations == 31 * 8
+        # uncertified points are counted per level, and the curve's gaps are
+        # the points uncertified at either of its two finest levels
+        xs = cfg.x_grid
+        top, mid, low = cfg.eta_sequence
+        uncertify({top: xs, mid: xs[4:16], low: xs[12:17]})
+        partial, short = density_curve(rand_profile, cfg, with_diagnostics=True)
+        assert [lv.unconverged for lv in short.levels] == [31, 12, 5]
+        assert partial.failed_xs == tuple(xs[4:17])
+        # one map application certifies nothing on a non-constant profile,
+        # and each level spends exactly its budget on every point
+        _, ok, budget = stieltjes._sweep(rand_profile, xs, cfg.eta_sequence,
+                                         SolverConfig(max_iter=1))
+        assert not ok.any()
+        assert all(lv.unconverged == 31 and lv.iterations == 31 for lv in budget)
 
     def test_certificate_does_not_use_the_power_iteration(self, rand_profile, monkeypatch):
         # a two-step power-iteration cap once left every point's rho(C0)
@@ -119,40 +139,50 @@ class TestDensityCurve:
             -0.5, hi, n_uniform=141)))
         assert 0.99 <= refined.total_mass <= 1.01
 
-    def test_partial_curve_records_gaps(self, ones16):
+    def test_partial_curve_records_gaps(self, ones16, uncertify):
         cfg = InversionConfig(x_grid=np.linspace(-1.0, 5.0, 25), eta_sequence=(0.5, 0.25))
-        # an 8-step budget leaves 7 gaps; 9 steps already leave none
-        curve = density_curve(ones16, cfg, SolverConfig(max_iter=8))
+        xs = cfg.x_grid
+        uncertify({0.5: xs[[3, 9, 10]], 0.25: xs[[10, 17, 18, 20]]})
+        curve = density_curve(ones16, cfg)
         assert curve.partial
-        assert len(curve.failed_xs) > 0
+        assert curve.failed_xs == tuple(xs[[3, 9, 10, 17, 18, 20]])
         assert len(curve.xs) + len(curve.failed_xs) == 25
 
-    def test_partial_curve_books_no_atom(self):
-        # c = 1: no atom.  45 of 59 points fail under a 6-step budget; their
-        # lost mass (total 0.003 remains) must stay missing, not be booked as
-        # an atom at zero
+    def test_partial_curve_books_no_atom(self, uncertify):
+        # c = 1: no atom.  With 45 of 59 points uncertified the trapezoids
+        # left hold 0.003 of mass; the lost mass must stay missing, not be
+        # booked as an atom at zero
         ones = validate_profile(np.ones((16, 16)))
         grid = edge_refined_grid(-0.5, 4.5, n_uniform=41, n_edge=10)
-        curve = density_curve(ones, InversionConfig(x_grid=grid), SolverConfig(max_iter=6))
+        uncertify({5e-3: grid[GAPS["6"]]})
+        curve = density_curve(ones, InversionConfig(x_grid=grid))
         assert len(grid) == 59 and len(curve.failed_xs) == 45
         assert curve.partial
         assert curve.atom_at_zero == 0.0
         assert curve.total_mass < 0.5
 
-    @pytest.mark.parametrize("max_iter", [6, 7, 8, 9])
-    def test_partial_curve_adds_no_mass_across_gaps(self, max_iter):
-        # trapezoids across the gaps once gave masses 0.106, 3.258, 1.483 and
-        # 1.0087 at these budgets, beside the full curve's 1.0077: one step
-        # beside the spike at 0 spanned x = 0.04 to 4.0
+    @pytest.mark.parametrize("gaps", list(GAPS))
+    def test_partial_curve_adds_no_mass_across_gaps(self, gaps, uncertify):
+        # trapezoids across these gaps once gave masses 0.106, 3.258, 1.483
+        # and 1.0087, beside the full curve's 1.0077: one step beside the
+        # spike at 0 spanned x = 0.04 to 4.0.  The gaps are split between
+        # the two levels the curve uses
         ones = validate_profile(np.ones((16, 16)))
         cfg = InversionConfig(x_grid=edge_refined_grid(-0.5, 4.5, n_uniform=41, n_edge=10))
         full = density_curve(ones, cfg)
-        curve = density_curve(ones, cfg, SolverConfig(max_iter=max_iter))
+        gap = cfg.x_grid[GAPS[gaps]]
+        uncertify({5e-3: gap[::2], 2.5e-3: gap[1::2]})
+        curve = density_curve(ones, cfg)
         assert curve.partial and not full.partial
+        assert curve.failed_xs == tuple(gap)
         assert curve.total_mass <= full.total_mass
         across = np.diff(np.searchsorted(cfg.x_grid, curve.xs)) > 1
         assert across.any()
         assert np.all(np.diff(curve.cdf)[across] == 0.0)
+        # every other trapezoid is the full curve's
+        kept = ~np.isin(cfg.x_grid, gap)
+        assert curve.total_mass == pytest.approx(
+            np.diff(full.cdf)[kept[1:] & kept[:-1]].sum(), rel=1e-12)
 
     def test_default_grid_column_iterations(self):
         # 242 points x 3 eta levels at rho(C0) ~ 0.998: an iteration that
@@ -184,10 +214,11 @@ class TestDensityCurve:
         assert not curve.partial
         assert curve.atom_at_zero == 0.0
 
-    def test_all_failed_raises(self, ones16):
+    def test_all_failed_raises(self, rand_profile):
+        # one map application certifies nothing on a non-constant profile
         cfg = InversionConfig(x_grid=np.linspace(0.0, 4.0, 10), eta_sequence=(1e-2, 5e-3))
         with pytest.raises(QuadratureStallError):
-            density_curve(ones16, cfg, SolverConfig(max_iter=2))
+            density_curve(rand_profile, cfg, SolverConfig(max_iter=1))
 
 
 class TestInversionConfig:
@@ -254,12 +285,19 @@ class TestCdfInterval:
         with pytest.raises(ValueError, match="strictly descending"):
             cdf_interval(ones16, 0.5, 1.0, (1e-2, 2e-2))
 
-    def test_unconverged_nodes_raise(self):
-        # three map applications cannot converge; integrating the stale
-        # iterates would report ~0.009 where the mass is ~0.287
+    def test_unconverged_nodes_raise(self, uncertify):
+        # a node uncertified at a height the result uses is never integrated;
+        # one uncertified only above the two smallest heights is not used
         ones8 = validate_profile(np.ones((8, 8)))
-        with pytest.raises(QuadratureStallError, match=r"\d+ of \d+ quadrature nodes"):
-            cdf_interval(ones8, 0.5, 1.5, 1e-2, SolverConfig(max_iter=3))
+        etas = (2e-2, 1e-2, 5e-3)
+        seen = uncertify({})
+        mass = cdf_interval(ones8, 0.5, 1.5, etas)
+        nodes = seen[-1].real
+        uncertify({2e-2: nodes[:7]})
+        assert cdf_interval(ones8, 0.5, 1.5, etas) == mass
+        uncertify({2e-2: nodes[:7], 1e-2: nodes[[5, 40]], 5e-3: nodes[[40, 77]]})
+        with pytest.raises(QuadratureStallError, match=f"^3 of {len(nodes)} quadrature nodes"):
+            cdf_interval(ones8, 0.5, 1.5, etas)
 
     @pytest.mark.parametrize("case", ["rand_profile", "iid_uniform_8x8"])
     def test_matches_adaptive_quadrature_oracle(self, case, rand_profile):
