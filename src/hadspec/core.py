@@ -59,6 +59,7 @@ class LengthMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """a, contiguous and read-only; pass a fresh array, since the flag is set on it."""
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
@@ -249,7 +250,7 @@ class FixedPointSolution:
     converged: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "e0", _readonly(np.asarray(self.e0, dtype=complex)))
+        object.__setattr__(self, "e0", _readonly(np.array(self.e0, dtype=complex)))
         if np.any(self.e0.imag <= 0):
             raise ValueError("all components of e0 must lie in the open upper half-plane")
         if not (self.g.imag > 0):
@@ -267,7 +268,7 @@ class EmpiricalDistribution:
     atoms: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.atoms, dtype=float)
+        a = np.array(self.atoms, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("atom list must be a nonempty 1-d sequence")
         if np.any(np.diff(a) < 0):
@@ -303,9 +304,9 @@ class DensityCurve:
     failed_xs: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        xs = _readonly(np.asarray(self.xs, dtype=float))
-        de = _readonly(np.asarray(self.density, dtype=float))
-        cd = _readonly(np.asarray(self.cdf, dtype=float))
+        xs = _readonly(np.array(self.xs, dtype=float))
+        de = _readonly(np.array(self.density, dtype=float))
+        cd = _readonly(np.array(self.cdf, dtype=float))
         if not (len(xs) == len(de) == len(cd)):
             raise LengthMismatchError("xs, density and cdf must align")
         if np.any(np.diff(xs) <= 0):

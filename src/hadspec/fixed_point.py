@@ -106,8 +106,6 @@ class ContractionDiagnostics:
 
 
 def _as_z(z) -> complex:
-    if isinstance(z, SpectralPoint):
-        return z.z
     z = complex(z)
     if not z.imag > 0:
         raise ValueError(f"z must lie in the open upper half-plane, got {z}")

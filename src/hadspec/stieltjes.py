@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityCurve, WeightProfile
+from .core import DensityCurve, WeightProfile, _readonly
 from .fixed_point import SolverConfig, _finish, solve_batch, solve_e0
 
 # the default eta -> 0 schedule of both inversions and the compare cells
@@ -68,7 +68,7 @@ class InversionConfig:
     eta_sequence: tuple = DEFAULT_ETAS
 
     def __post_init__(self):
-        xs = np.asarray(self.x_grid, dtype=float)
+        xs = _readonly(np.array(self.x_grid, dtype=float))
         if xs.ndim != 1 or xs.size == 0:
             raise ValueError("x_grid must be a nonempty 1-d array")
         if np.any(np.diff(xs) <= 0):

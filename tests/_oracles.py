@@ -68,7 +68,7 @@ def evaluate_G(profile, sol, strict: bool = True) -> complex:
     """Stieltjes transform G(z) = (1/n) sum_i 1/denom_i at a solved point."""
     if strict and not sol.converged:
         raise ValueError("solution is not converged; pass strict=False to evaluate anyway")
-    denom = row_denominators(profile, sol.e0, sol.z)
+    denom = row_denominators(profile, sol.e0, sol.z.z)
     return complex(np.mean(1.0 / denom))
 
 

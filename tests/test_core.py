@@ -10,6 +10,8 @@ from hadspec import (
     DensityCurve,
     EmpiricalDistribution,
     EmptyMatrixError,
+    FixedPointSolution,
+    InversionConfig,
     NegativeEntryError,
     SpectralPoint,
     WeightProfile,
@@ -225,3 +227,42 @@ class TestDensityCurve:
             c = DensityCurve(xs=np.array([lo, 2.0]), density=np.array([1.0, 1.0]),
                              cdf=np.array([atom, 1.0]), eta_used=(1e-2,), atom_at_zero=atom)
             assert c.negative_mass == 0.0
+
+
+def _empirical():
+    atoms = np.array([1.0, 2.0, 3.0])
+    return EmpiricalDistribution(atoms), {"atoms": atoms}
+
+
+def _curve():
+    arrays = {"xs": np.array([0.0, 1.0]), "density": np.array([1.0, 1.0]),
+              "cdf": np.array([0.0, 1.0])}
+    return DensityCurve(eta_used=(1e-2,), **arrays), arrays
+
+
+def _solution():
+    e0 = np.array([1j, 2j])
+    return FixedPointSolution(z=SpectralPoint(0.0, 1.0), e0=e0, residual=0.0, rho_C0=0.5,
+                              identity_defect=0.0, iterations=1, g=1j, converged=True), {"e0": e0}
+
+
+def _inversion_config():
+    grid = np.linspace(-1.0, 1.0, 5)
+    return InversionConfig(x_grid=grid), {"x_grid": grid}
+
+
+@pytest.mark.parametrize("build", [_empirical, _curve, _solution, _inversion_config],
+                         ids=["EmpiricalDistribution", "DensityCurve", "FixedPointSolution",
+                              "InversionConfig"])
+def test_constructor_copies_the_callers_array(build):
+    # the caller's array stays writeable and its own; the object holds a
+    # read-only copy that editing the caller's array does not reach
+    obj, given = build()
+    for name, arr in given.items():
+        held = getattr(obj, name)
+        before = held.copy()
+        assert arr.flags.writeable, name
+        assert not held.flags.writeable, name
+        assert not np.shares_memory(arr, held), name
+        arr[0] = -9.0
+        assert np.array_equal(held, before), name

@@ -424,7 +424,7 @@ class TestSolveGrid:
         sols = solve_grid(rand_profile, grid, cfg)
         assert 0 < sum(s.converged for s in sols) < len(grid)
         for sol, point in zip(sols, grid):
-            ref = solve_e0(rand_profile, point, cfg)
+            ref = solve_e0(rand_profile, point.z, cfg)
             assert sol.z == point
             assert abs(sol.g - ref.g) <= 10 * cfg.tol
             assert sol.converged == ref.converged
