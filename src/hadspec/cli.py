@@ -6,13 +6,14 @@ Commands that write files take --seed and -o; commands that solve take --tol
 and --max-iter; compare's --jobs is accepted and has no effect.
 
 build_parser declares every option once, with its default.  A --config file
-replaces those defaults (main parses argv a second time), so an explicit
-flag beats the config file, which beats the built-in default; HS_SEED
-overrides the seed from any source.
+replaces the defaults of the options the command declares (main parses argv
+a second time), so an explicit flag beats the config file, which beats the
+built-in default; HS_SEED overrides the seed from any source.
 
 Every file-writing command writes atomically (temp file + rename) and drops
-a JSON manifest next to each output recording the resolved options, their
-hash, the seed, and the package version.  Identical argv + config produce
+a JSON manifest next to its outputs: the options the command parsed, under
+their dest names, with what it resolved from them (see write_manifest),
+their hash, and the package version.  Identical argv + config produce
 byte-identical CSV payloads and the same config_hash; manifests differ at
 most in their timestamp and their trace block (compare's stage wall times).
 """
@@ -20,6 +21,7 @@ most in their timestamp and their trace block (compare's stage wall times).
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import hashlib
 import json
@@ -51,13 +53,14 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 def parse_z(text: str) -> complex:
-    """Parse 'x+vi' with v > 0, e.g. 0+1i, -0.5+2.5e-3i."""
+    """Parse 'x+vi', finite with v > 0, e.g. 0+1i, -0.5+2.5e-3i."""
+    compact = text.replace(" ", "")
     try:
-        z = complex(text.replace("i", "j").replace(" ", ""))
+        z = complex(compact[:-1] + "j" if compact.endswith("i") else compact)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r} as x+vi") from exc
-    if not z.imag > 0:
-        raise argparse.ArgumentTypeError(f"{text!r} must have positive imaginary part")
+    if not (cmath.isfinite(z) and z.imag > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} must be finite with positive imaginary part")
     return z
 
 
@@ -96,11 +99,21 @@ def atomic_write(path: str, writer) -> None:
         raise
 
 
-def write_manifest(path: str, command: str, options: dict, outputs, trace=None) -> None:
-    """options are hashed into config_hash; created and trace (run records) are not."""
+# namespace entries that are no setting of the run: func and command name it,
+# config is folded into the other options, out's paths are the outputs, and
+# jobs is read by nothing (so --jobs leaves the hash alone)
+UNRECORDED = frozenset(("func", "command", "config", "out", "jobs"))
+
+
+def write_manifest(args, outputs, trace=None, **resolved) -> None:
+    """Write args.out + ".manifest.json": its options are vars(args) less
+    UNRECORDED, overlaid with what the command resolved or produced; they are
+    hashed into config_hash, while created and trace (run records) are not."""
+    options = {key: val for key, val in vars(args).items() if key not in UNRECORDED}
+    options.update(resolved)
     canonical = json.dumps(options, sort_keys=True, default=str)
     manifest = {
-        "command": command,
+        "command": args.command,
         "options": options,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
         "version": __version__,
@@ -108,7 +121,8 @@ def write_manifest(path: str, command: str, options: dict, outputs, trace=None) 
         "trace": trace,
         "outputs": list(outputs),
     }
-    atomic_write(path, lambda fh: json.dump(manifest, fh, indent=2, sort_keys=True, default=str))
+    atomic_write(args.out + ".manifest.json",
+                 lambda fh: json.dump(manifest, fh, indent=2, sort_keys=True, default=str))
 
 
 def _fmt(x: float) -> str:
@@ -183,9 +197,7 @@ def cmd_solve(args) -> int:
             fh.write(",".join(row) + "\n")
 
     atomic_write(args.out, write)
-    options = {"profile": args.profile, "n": profile.n, "N": profile.N, "seed": args.seed,
-               "z": [str(z) for z in pts], "tol": cfg.tol, "max_iter": cfg.max_iter}
-    write_manifest(args.out + ".manifest.json", "solve", options, [args.out])
+    write_manifest(args, [args.out], n=profile.n, N=profile.N, z=[str(z) for z in pts])
     print(f"wrote {args.out} ({len(sols)} points, "
           f"{sum(s.converged for s in sols)} converged)")
     return 0 if all(s.converged for s in sols) else 1
@@ -197,12 +209,9 @@ def cmd_density(args) -> int:
     cfg = InversionConfig(x_grid=grid, eta_sequence=args.eta)
     curve = density_curve(profile, cfg, solver_from(args))
     atomic_write(args.out, curve.write_csv)
-    options = {"profile": args.profile, "n": profile.n, "N": profile.N, "seed": args.seed,
-               "xmin": float(grid[0]), "xmax": float(grid[-1]), "points": args.points,
-               "eta": list(args.eta),
-               "atom_at_zero": curve.atom_at_zero, "total_mass": curve.total_mass,
-               "partial": curve.partial}
-    write_manifest(args.out + ".manifest.json", "density", options, [args.out])
+    write_manifest(args, [args.out], n=profile.n, N=profile.N, xmin=float(grid[0]),
+                   xmax=float(grid[-1]), atom_at_zero=curve.atom_at_zero,
+                   total_mass=curve.total_mass, partial=curve.partial)
     print(f"wrote {args.out} (mass {curve.total_mass:.6f}, "
           f"negative_mass {curve.negative_mass:.6f}, atom {curve.atom_at_zero:.6f})")
     return 1 if curve.partial else 0
@@ -217,11 +226,7 @@ def cmd_simulate(args) -> int:
         path = f"{args.out}.trial{t}.csv"
         atomic_write(path, lambda fh, d=dist: fh.writelines(_fmt(x) + "\n" for x in d.atoms))
         outputs.append(path)
-    options = {"profile": args.profile, "n": profile.n, "N": profile.N,
-               "family": args.family, "seed": args.seed, "trials": args.trials,
-               "complex_entries": args.complex,
-               "pipeline_eta": args.pipeline_eta}
-    write_manifest(args.out + ".manifest.json", "simulate", options, outputs)
+    write_manifest(args, outputs, n=profile.n, N=profile.N)
     print(f"wrote {len(outputs)} spectra under {args.out}.*")
     return 0
 
@@ -236,9 +241,11 @@ def cmd_compare(args) -> int:
     report = run_experiment(spec)
     csv_path = args.out + ".csv"
     atomic_write(csv_path, report.write_csv)
-    write_manifest(args.out + ".manifest.json", "compare", report.to_manifest(), [csv_path],
-                   trace=report.to_trace())
-    for (n, N), med in report.medians.items():
+    medians = report.medians
+    write_manifest(args, [csv_path], trace=report.to_trace(),
+                   medians={f"{n}x{N}": med for (n, N), med in medians.items()},
+                   curve_mass={f"{n}x{N}": m for (n, N), m in report.curve_mass.items()})
+    for (n, N), med in medians.items():
         print(f"{n}x{N}: median ks={med['ks']:.4f} d={med['d_value']:.6f}")
     failures = [r for r in report.rows if r.error]
     if failures:
@@ -251,9 +258,7 @@ def cmd_truncate(args) -> int:
     profile = load_profile(args)
     plan = plan_truncation(profile, args.epsilon)
     atomic_write(args.out, lambda fh: json.dump(plan.to_record(), fh, indent=2, sort_keys=True))
-    options = {"profile": args.profile, "n": profile.n, "N": profile.N,
-               "seed": args.seed, "epsilon": args.epsilon}
-    write_manifest(args.out + ".manifest.json", "truncate", options, [args.out])
+    write_manifest(args, [args.out], n=profile.n, N=profile.N)
     print(f"M={plan.M:.6g} rows={list(plan.rows_removed)} cols={list(plan.cols_removed)}")
     return 0
 
@@ -367,7 +372,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mp_check)
 
     for p in sub.choices.values():
-        p.set_defaults(**(config or {}))
+        own = {action.dest for action in p._actions}
+        p.set_defaults(**{key: val for key, val in (config or {}).items() if key in own})
     return parser
 
 

@@ -159,19 +159,6 @@ class ComparisonReport:
                                                   r.residual_max)),
                           int(r.trusted), r.error))
 
-    def to_manifest(self) -> dict:
-        return {
-            "generator": self.spec.profile_generator,
-            "sizes": list(map(list, self.spec.sizes)),
-            "family": self.spec.sampler.family,
-            "complex_entries": self.spec.sampler.complex_entries,
-            "epsilon": self.spec.epsilon,
-            "trials": self.spec.trials,
-            "master_seed": self.spec.master_seed,
-            "medians": {f"{n}x{N}": vals for (n, N), vals in self.medians.items()},
-            "curve_mass": {f"{n}x{N}": m for (n, N), m in self.curve_mass.items()},
-        }
-
     def to_trace(self) -> dict:
         """How the run went, for the manifest's unhashed trace block: wall
         times in seconds per size and stage (plan_s includes building the

@@ -71,6 +71,8 @@ class InversionConfig:
         xs = _readonly(np.array(self.x_grid, dtype=float))
         if xs.ndim != 1 or xs.size == 0:
             raise ValueError("x_grid must be a nonempty 1-d array")
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("x_grid must be finite")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("x_grid must be strictly ascending")
         object.__setattr__(self, "x_grid", xs)
@@ -85,8 +87,8 @@ def edge_refined_grid(lo: float, hi: float, n_uniform: int = 141,
     density; resolving the eta-smoothed spike on both flanks is what keeps
     the trapezoid CDF mass-accurate.
     """
-    if hi <= lo:
-        raise ValueError("need lo < hi")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"need finite lo < hi, got lo={lo}, hi={hi}")
     xs = np.linspace(lo, hi, n_uniform)
     if n_edge > 0:
         s = (np.linspace(0.0, 1.0, n_edge + 1)[1:] ** 2) * width

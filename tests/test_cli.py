@@ -6,7 +6,7 @@ import shlex
 import numpy as np
 import pytest
 
-from hadspec.cli import build_parser, main, parse_sizes, parse_z
+from hadspec.cli import atomic_write, build_parser, main, parse_sizes, parse_z
 from hadspec.experiments import default_x_grid, make_profile
 from hadspec.stieltjes import InversionConfig, density_curve
 
@@ -36,6 +36,19 @@ class TestParsers:
             parse_z("1-2i")
         with pytest.raises(argparse.ArgumentTypeError):
             parse_z("nonsense")
+
+    @pytest.mark.parametrize("command", ["solve", "mp-check"])
+    @pytest.mark.parametrize("z", ["nan+1i", "inf+1i", "-inf+1i", "1+nani"])
+    def test_nonfinite_z_exits_2(self, tmp_path, monkeypatch, capsys, command, z):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, f"--z={z}"]
+        if command == "solve":
+            argv += ["--profile", "ones", "--n", "4", "--N", "4"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"{z!r} must be finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_parse_sizes(self):
         assert parse_sizes("64x64,128x256") == ((64, 64), (128, 256))
@@ -113,6 +126,14 @@ class TestDensityCommand:
         xs = np.loadtxt(out, delimiter=",", skiprows=1, usecols=0)
         assert xs[-1] == 0.0
         assert read_json(out + ".manifest.json")["options"]["xmax"] == 0.0
+
+    @pytest.mark.parametrize("flag", [["--xmin", "nan"], ["--xmax", "inf"]])
+    def test_nonfinite_grid_refused(self, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["density", "--profile", "iid_uniform:0,2", "--n", "8", "--N", "8"]
+                       + flag) == 1
+        assert "ValueError: need finite lo < hi" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_byte_identical_reruns(self, tmp_path):
         a = str(tmp_path / "a.csv")
@@ -233,6 +254,7 @@ def test_readme_quick_tour_runs(tmp_path, monkeypatch):
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         tour = fh.read().split("## Library quick tour", 1)[1]
     code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "hs.solve_e0" in code
     monkeypatch.chdir(tmp_path)
     exec(compile(code, "README.md quick tour", "exec"), {})
 
@@ -270,18 +292,52 @@ EVERY_OPTION = {
 }
 
 
+def declared_options(parser, command):
+    return {action.dest for action in parser._subparsers._group_actions[0]
+            .choices[command]._actions if action.dest != "help"}
+
+
 @pytest.mark.parametrize("command", sorted(EVERY_OPTION))
 def test_every_option_is_read(tmp_path, monkeypatch, command):
     # config is read by main, and compare's --jobs is accepted and has no effect
     parser = build_parser()
-    declared = {action.dest for action in parser._subparsers._group_actions[0]
-                .choices[command]._actions if action.dest != "help"}
+    declared = declared_options(parser, command)
     monkeypatch.chdir(tmp_path)
     ns = ReadRecorder(_read=set())
     parser.parse_args([command] + EVERY_OPTION[command], namespace=ns)
     ns._on = True
     assert ns.func(ns) == 0
     assert declared - {"config", "jobs"} - ns._read == set()
+
+
+@pytest.mark.parametrize("command", sorted(set(EVERY_OPTION) - {"mp-check"}))
+def test_manifest_records_every_option(tmp_path, monkeypatch, command):
+    # options are the parsed options under their dest names, as JSON holds them
+    parser = build_parser()
+    declared = declared_options(parser, command)
+    argv = [command] + EVERY_OPTION[command]
+    parsed = vars(parser.parse_args(argv))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    options = read_json(parsed["out"] + ".manifest.json")["options"]
+    recorded = declared - {"config", "out", "jobs"}
+    assert {dest: options.get(dest) for dest in recorded} == {
+        dest: json.loads(json.dumps(parsed[dest], default=str)) for dest in recorded}
+    assert not {"config", "out", "jobs", "func", "command"} & set(options)
+
+
+def test_atomic_write_cleans_up_after_a_failed_writer(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def fail(fh):
+        fh.write("partial")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        atomic_write(str(target), fail)
+    assert os.listdir(tmp_path) == ["out.csv"]
+    assert target.read_text() == "old\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -311,6 +367,20 @@ class TestCompareCommand:
         assert rows[0].startswith("n,N,trial")
         assert len(rows) == 3
         assert "median ks" in capsys.readouterr().out
+
+    def test_failed_cells_exit_1_and_are_written(self, tmp_path, capsys):
+        # one map application certifies no grid point, so every cell fails
+        prefix = str(tmp_path / "report")
+        assert run_cli(["compare", "--sizes", "8x8", "--trials", "3", "--max-iter", "1",
+                        "-o", prefix]) == 1
+        assert capsys.readouterr().err == "3 cells failed\n"
+        rows = read_text(prefix + ".csv").strip().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(",0,QuadratureStallError: " in row for row in rows)
+        manifest = read_json(prefix + ".manifest.json")
+        assert manifest["options"]["max_iter"] == 1
+        assert manifest["options"]["medians"] == {} == manifest["options"]["curve_mass"]
+        assert manifest["trace"]["cells"]["8x8"]["failed_stage"] == "invert"
 
 
 class TestCompareManifest:
@@ -370,6 +440,18 @@ class TestConfigAndEnv:
         flags, config = config_matches_flags(tmp_path, "compare", keys, lambda out: out + ".csv")
         assert flags == config
         assert config["sizes"] == [[12, 12], [16, 16]] and config["family"] == "gaussian"
+
+    def test_foreign_config_key_is_not_recorded(self, tmp_path):
+        # truncate has no --trials or --generator: a shared config's keys for them are ignored
+        cfg = tmp_path / "shared.ini"
+        cfg.write_text("[run]\nseed = 7\ntrials = 4\ngenerator = block\n")
+        argv = ["truncate", "--profile", "ones", "--n", "8", "--N", "8"]
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        assert run_cli(argv + ["--config", str(cfg), "-o", a]) == 0
+        assert run_cli(argv + ["--seed", "7", "-o", b]) == 0
+        ma, mb = read_json(a + ".manifest.json"), read_json(b + ".manifest.json")
+        assert ma["options"] == mb["options"] and ma["config_hash"] == mb["config_hash"]
+        assert ma["options"]["seed"] == 7 and "trials" not in ma["options"]
 
     def test_mp_check_reads_c_and_N(self, tmp_path, capsys):
         cfg = tmp_path / "mp.ini"

@@ -63,15 +63,6 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_readme_quick_tour_runs():
-    # the README's "Library quick tour" code block, run as written
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
-        tour = fh.read().split("## Library quick tour", 1)[1]
-    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
-    assert "hs.solve_e0" in code
-    exec(compile(code, "README.md", "exec"), {})
-
-
 class TestValidateProfile:
     def test_all_ones_valid(self):
         p = validate_profile(np.ones((2, 2)))

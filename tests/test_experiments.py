@@ -1,11 +1,12 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
 
-from hadspec import (EntrySampler, ExperimentSpec, experiments, make_profile, run_experiment,
-                     stieltjes)
+from hadspec import (EntrySampler, ExperimentSpec, cli, experiments, make_profile,
+                     run_experiment, stieltjes)
 from hadspec.experiments import default_x_grid
 
 
@@ -163,11 +164,17 @@ class TestRunExperiment:
             assert len(row) == 10 and None not in row
             assert row["error"] == "ValueError: a, b"
 
-    def test_manifest_round_trip(self):
+    def test_manifest_round_trip(self, tmp_path):
+        # compare's manifest holds the run's medians and curve masses, read back as written
         report = run_experiment(small_spec())
-        m = report.to_manifest()
-        assert m["generator"] == "constant"
-        assert "24x24" in m["medians"]
+        prefix = str(tmp_path / "report")
+        assert cli.main(["compare", "--generator", "constant", "--sizes", "24x24", "--trials", "2",
+                         "--seed", "5", "--eta", "2e-2,1e-2,5e-3", "-o", prefix]) == 0
+        with open(prefix + ".manifest.json") as fh:
+            options = json.load(fh)["options"]
+        assert options["generator"] == "constant"
+        assert options["medians"] == {"24x24": report.medians[(24, 24)]}
+        assert options["curve_mass"] == {"24x24": report.curve_mass[(24, 24)]}
 
 
 class TestInversionReuse:

@@ -94,6 +94,17 @@ class TestTruncatedMoments:
             mom = truncated_moments(EntrySampler("uniform_pm", complex_entries=True), T)
             assert mom.sigma2 == pytest.approx(truncated_complex_uniform_m2(T), abs=1e-7)
 
+    def test_complex_uniform_past_the_corner_keeps_everything(self):
+        # the square of side 2 sqrt(3/2) lies inside the disk once T >= its half-diagonal sqrt(3)
+        sampler = EntrySampler("uniform_pm", complex_entries=True)
+        for T in (math.sqrt(3.0), 2.0, 10.0):
+            mom = truncated_moments(sampler, T)
+            assert mom.mean == 0.0
+            assert mom.sigma2 == 1.0
+        # the wedge formula just inside the corner meets it
+        below = truncated_moments(sampler, math.sqrt(3.0) * (1.0 - 1e-9))
+        assert below.sigma2 == pytest.approx(1.0, abs=1e-8)
+
     def test_complex_rademacher_modulus_one(self):
         mom = truncated_moments(EntrySampler("rademacher", complex_entries=True), 1.5)
         assert mom.sigma2 == pytest.approx(1.0)

@@ -231,6 +231,16 @@ class TestInversionConfig:
             with pytest.raises(ValueError):
                 InversionConfig(x_grid=np.array([0.0, 1.0]), eta_sequence=etas)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_grid_refused(self, bad):
+        # NaN passes the ascending test, and would spend the whole budget at every level
+        grid = np.append(edge_refined_grid(-0.5, 4.5, n_uniform=41, n_edge=10), bad)
+        with pytest.raises(ValueError, match="x_grid must be finite"):
+            InversionConfig(x_grid=grid)
+        for lo, hi in ((bad, 4.5), (-0.5, bad)):
+            with pytest.raises(ValueError, match="need finite lo < hi"):
+                edge_refined_grid(lo, hi)
+
     def test_edge_refined_grid(self):
         g = edge_refined_grid(-0.5, 4.5, n_uniform=51, n_edge=20)
         assert np.all(np.diff(g) > 0)
