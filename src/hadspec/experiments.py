@@ -105,6 +105,9 @@ class ExperimentSpec:
         sizes = tuple((int(n), int(N)) for n, N in self.sizes)
         if not sizes:
             raise ValueError("sizes must be nonempty")
+        for i, (n, N) in enumerate(sizes):
+            if (n, N) in sizes[:i]:
+                raise ValueError(f"size {n}x{N} is given twice")
         object.__setattr__(self, "sizes", sizes)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
@@ -205,8 +208,8 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
     for n, N in spec.sizes:
         stage = stages[(n, N)] = {"curve_reused_from": None}
         t = time.perf_counter()
-        profile = make_profile(spec.profile_generator, n, N, spec.master_seed)
         try:
+            profile = make_profile(spec.profile_generator, n, N, spec.master_seed)
             plan = plan_truncation(profile, spec.epsilon)
             truncated = truncate_profile(profile, max(plan.M, np.finfo(float).tiny))
             t = _lap(stage, "plan_s", t)

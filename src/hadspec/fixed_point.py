@@ -444,22 +444,22 @@ def solve_grid(profile: WeightProfile, grid: ZGrid, cfg: SolverConfig | None = N
     return _solve(profile, list(grid), cfg or SolverConfig())
 
 
-def solve_batch(profile: WeightProfile, xs, v: float, cfg: SolverConfig | None = None,
-                warm: np.ndarray | None = None):
+def solve_batch(profile: WeightProfile, xs, v: float | np.ndarray,
+                cfg: SolverConfig | None = None, warm: np.ndarray | None = None):
     """Solve all points x + iv simultaneously (data-parallel Anderson mixing).
 
-    Grid points are independent; each column follows the update rule of
-    solve_e0 and freezes once its residual reaches tol.  A column that
-    hits max_iter is not an error: its residual stays above tol.  Returns
-    (e_red, residuals, iterations) with e_red of shape
-    (unique columns, len(xs)).
+    v is one height or one height per point of xs.  Grid points are
+    independent; each column follows the update rule of solve_e0 and
+    freezes once its residual reaches tol.  A column that hits max_iter is
+    not an error: its residual stays above tol.  Returns (e_red, residuals,
+    iterations) with e_red of shape (unique columns, len(xs)).
     """
     zs = np.asarray(xs, dtype=float) + 1j * v
     e = None if warm is None else np.asarray(warm, dtype=complex)
     return _iterate(profile, zs, cfg or SolverConfig(), e)
 
 
-def batch_G(profile: WeightProfile, e_red: np.ndarray, xs, v: float) -> np.ndarray:
-    """G(x + iv) for every batch column from the reduced solutions."""
+def batch_G(profile: WeightProfile, e_red: np.ndarray, xs, v: float | np.ndarray) -> np.ndarray:
+    """G(x + iv) for every batch column from the reduced solutions; v as in solve_batch."""
     zs = np.asarray(xs, dtype=float) + 1j * v
     return _reduced_G(profile, _denominators(profile.reduced, profile.c, e_red, zs))

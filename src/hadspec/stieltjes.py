@@ -2,9 +2,11 @@
 
 The boundary density at x is (1/pi) lim Im G(x + i eta) as eta -> 0+,
 evaluated on a descending eta schedule (_eta_schedule, the one validity
-rule) and extrapolated.  Horizontal-line inversion conserves total mass
-exactly at fixed eta, so the CDF is the trapezoid accumulation of the
-extrapolated density plus any point mass detected at zero by mass deficit.
+rule) and extrapolated by _richardson, the one eta -> 0 rule of both
+inversions, at every point alike.  Horizontal-line inversion conserves
+total mass exactly at fixed eta, so the CDF is the trapezoid accumulation
+of the extrapolated density plus any point mass detected at zero by mass
+deficit.
 Trapezoids join only neighbouring grid points: a gap (a point in the
 curve's failed_xs) adds no mass, and the CDF is flat across it.
 
@@ -29,12 +31,6 @@ DEFAULT_ETAS = (1e-2, 5e-3, 2.5e-3)
 
 # a deficit 1 - int density above this is booked as a point mass at zero
 _ATOM_THRESHOLD = 0.02
-
-# Richardson is trusted only where the two finest levels agree to this
-# relative band; elsewhere (support edges, steep density shoulders) the
-# smallest-eta value is used.  Smooth interior points agree to ~1e-3
-# relative, so the band only disarms the extrapolation where it overshoots.
-_RICHARDSON_BAND = 0.05
 
 # Interval masses: Gauss-Legendre order, and the widest panel in units of
 # the smallest eta of the schedule.
@@ -153,7 +149,11 @@ def _sweep(profile: WeightProfile, xs: np.ndarray, etas: tuple, scfg: SolverConf
 def _richardson(etas: tuple, y: np.ndarray):
     """The eta -> 0 estimate from y at the len(y) smallest heights of etas.
 
-    Linear in eta through two levels; one level is used as it is.
+    Linear in eta through two levels; one level is used as it is.  Both
+    inversions use it at every point: in the bulk Im G(x + i eta) is
+    pi density(x) + O(eta), and off the support it is
+    eta int dmu(t) / ((x - t)^2 + eta^2), linear in eta, so the estimate
+    removes the eta-tail that a finest-level value would keep there.
     """
     if len(y) == 1:
         return y[0]
@@ -181,9 +181,11 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
 
     Grid points are independent and are iterated in one data-parallel sweep
     per eta level, warm-starting each level from the previous one
-    (continuation in descending v).  Points not certified at a level used by
-    the extrapolation are gaps: the curve is partial, books no atom and adds
-    no mass across a gap, so the mass the gaps lose stays missing.
+    (continuation in descending v).  The density at each certified point
+    is max(_richardson(etas, Im G at the two smallest heights), 0) / pi.
+    Points not certified at a level used by the extrapolation are gaps:
+    the curve is partial, books no atom and adds no mass across a gap, so
+    the mass the gaps lose stays missing.
     """
     scfg = solver_cfg or SolverConfig()
     xs = cfg.x_grid
@@ -192,13 +194,7 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
     failed = tuple(float(x) for x in xs[~good])
     xs_ok = xs[good]
 
-    im = im[:, good]
-    raw = _richardson(etas, im)
-    if len(im) == 2:
-        y1, y2 = im
-        smooth = np.abs(y1 - y2) <= _RICHARDSON_BAND * np.maximum(np.minimum(y1, y2), 1e-12)
-        raw = np.where(smooth, raw, y2)
-    density = np.maximum(raw, 0.0) / np.pi
+    density = np.maximum(_richardson(etas, im[:, good]), 0.0) / np.pi
 
     if len(xs_ok) < 2:
         raise QuadratureStallError("too few converged grid points to integrate a density")
@@ -220,9 +216,9 @@ def cdf_interval(profile: WeightProfile, a: float, b: float, eta,
 
     eta is one height or a schedule valid by _eta_schedule (strictly
     descending); a schedule is swept from its first height down and
-    Richardson-extrapolated (unguarded) from its two smallest.  The rule is
-    8-point Gauss-Legendre on panels at most 2 eta_min wide, with a panel
-    edge at 0 when 0 lies inside (a, b).
+    extrapolated by _richardson from its two smallest, as density_curve
+    is.  The rule is 8-point Gauss-Legendre on panels at most 2 eta_min
+    wide, with a panel edge at 0 when 0 lies inside (a, b).
     Im G(x + i eta) is analytic for |Im x| < eta, so the rule converges
     geometrically on such panels, and all levels share the nodes, so warm
     starts carry down the schedule.  Memory is O(nodes x unique columns),

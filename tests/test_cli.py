@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import shlex
@@ -381,6 +382,25 @@ class TestCompareCommand:
         assert manifest["options"]["max_iter"] == 1
         assert manifest["options"]["medians"] == {} == manifest["options"]["curve_mass"]
         assert manifest["trace"]["cells"]["8x8"]["failed_stage"] == "invert"
+
+    def test_unbuildable_size_fails_alone(self, tmp_path, capsys):
+        # 0x8 has no rows; its cell fails at the plan stage, 8x8 still runs
+        prefix = str(tmp_path / "report")
+        assert run_cli(["compare", "--sizes=8x8,0x8", "--trials", "1", "-o", prefix]) == 1
+        assert capsys.readouterr().err == "1 cells failed\n"
+        with open(prefix + ".csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["n"], r["N"]) for r in rows] == [("8", "8"), ("0", "8")]
+        assert rows[0]["error"] == "" and rows[0]["trusted"] == "1"
+        assert rows[1]["error"].startswith("EmptyMatrixError: ")
+        cell = read_json(prefix + ".manifest.json")["trace"]["cells"]["0x8"]
+        assert (cell["failed_stage"], cell["error_type"]) == ("plan", "EmptyMatrixError")
+
+    def test_repeated_size_refused(self, tmp_path, capsys):
+        prefix = str(tmp_path / "report")
+        assert run_cli(["compare", "--sizes=8x8,8x8", "--trials", "1", "-o", prefix]) == 1
+        assert "size 8x8 is given twice" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompareManifest:

@@ -58,6 +58,11 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="eta_sequence"):
             small_spec(etas=etas)
 
+    def test_rejects_repeated_size(self):
+        # a repeated size would be run twice and reported as one size
+        with pytest.raises(ValueError, match="size 8x8 is given twice"):
+            small_spec(sizes=((8, 8), (16, 16), (8, 8)))
+
 
 class TestRunExperiment:
     def test_small_run_produces_trusted_rows(self):
@@ -115,6 +120,16 @@ class TestRunExperiment:
         assert list(report.medians) == [(4, 4)]
         assert report.medians[(4, 4)] == {"ks": float(np.median([r.ks for r in good])),
                                           "d_value": float(np.median([r.d_value for r in good]))}
+
+    def test_unbuildable_size_is_recorded(self):
+        # a size whose profile cannot be built fails its own cells only
+        report = run_experiment(small_spec(sizes=((8, 8), (0, 8)), trials=1))
+        good, bad = report.rows
+        assert (good.n, good.N, good.error) == (8, 8, "") and good.trusted
+        assert (bad.n, bad.N) == (0, 8) and bad.error.startswith("EmptyMatrixError: ")
+        assert list(report.medians) == [(8, 8)]
+        assert report.to_trace()["cells"]["0x8"] == {
+            "curve_reused_from": None, "failed_stage": "plan", "error_type": "EmptyMatrixError"}
 
     def test_gap_at_a_read_level_untrusts_the_size(self, uncertify):
         # two points uncertified at the finest level leave gaps in the curve:

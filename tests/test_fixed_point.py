@@ -477,6 +477,17 @@ class TestSolveBatch:
             e = _expand(profile.reduced, e_red[:, k])
             assert np.max(np.abs(iterate_e(profile, e, complex(x, v)) - e)) <= 10 * cfg.tol
 
+    def test_one_height_per_point(self):
+        # z = w^2 on w = s + 0.01i: the height 0.02 s differs at every point
+        profile = make_profile("iid_uniform:0,2", 32, 24)
+        zs = (np.linspace(0.2, 1.8, 9) + 0.01j) ** 2
+        e_red, res, iters = solve_batch(profile, zs.real, zs.imag)
+        g = batch_G(profile, e_red, zs.real, zs.imag)
+        sols = solve_grid(profile, ZGrid(tuple(SpectralPoint(z.real, z.imag) for z in zs)))
+        assert np.all(res <= SolverConfig().tol)
+        assert np.array_equal(g, [sol.g for sol in sols])
+        assert list(iters) == [sol.iterations for sol in sols]
+
     def test_empty_line(self, repeated_profile):
         e_red, res, iters = solve_batch(repeated_profile, [], 0.1)
         assert e_red.shape == (3, 0) and res.shape == iters.shape == (0,)

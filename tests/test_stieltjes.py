@@ -9,6 +9,7 @@ from hadspec.stieltjes import (
     density_curve,
     mass_check,
 )
+from hadspec.fixed_point import batch_G, solve_batch
 
 from hadspec import stieltjes
 from hadspec.experiments import default_x_grid
@@ -213,6 +214,32 @@ class TestDensityCurve:
         curve = density_curve(profile, InversionConfig(x_grid=default_x_grid(profile)))
         assert not curve.partial
         assert curve.atom_at_zero == 0.0
+
+    @pytest.mark.parametrize("generator", ["constant", "iid_uniform:0,2"])
+    def test_every_point_extrapolated(self, generator):
+        # one eta -> 0 rule at every grid point, inside the support and out;
+        # Im G from a sweep of its own down the default schedule
+        profile = make_profile(generator, 48, 48, seed=5)
+        xs = default_x_grid(profile)
+        curve = density_curve(profile, InversionConfig(x_grid=xs))
+        assert not curve.partial
+        e_red, im = None, []
+        for eta in stieltjes.DEFAULT_ETAS:
+            e_red, _, _ = solve_batch(profile, xs, eta, warm=e_red)
+            im.append(batch_G(profile, e_red, xs, eta).imag)
+        want = np.maximum(stieltjes._richardson(stieltjes.DEFAULT_ETAS, np.array(im[-2:])), 0.0)
+        np.testing.assert_allclose(curve.density, want / np.pi, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("generator, bound", [("constant", 0.0140),
+                                                  ("iid_uniform:0,2", 0.0125),
+                                                  ("block:0.5,1.5", 0.0205)])
+    def test_negative_mass_on_square_shapes(self, generator, bound):
+        # outside the support Im G is linear in eta, so the extrapolation
+        # removes the eta-tail below 0; keeping the finest level outside the
+        # support leaves 0.0213, 0.0195 and 0.0318
+        profile = make_profile(generator, 48, 48, seed=5)
+        curve = density_curve(profile, InversionConfig(x_grid=default_x_grid(profile)))
+        assert curve.negative_mass <= bound
 
     def test_all_failed_raises(self, rand_profile):
         # one map application certifies nothing on a non-constant profile
