@@ -272,7 +272,11 @@ def _mp_root(z: complex, c: float) -> complex:
 
 def cmd_mp_check(args) -> int:
     c, N = args.c, args.N
+    if N < 1:
+        raise UsageError(f"--N {N} must be at least 1")
     n = c * N
+    if not 0.0 < n < np.inf:
+        raise UsageError(f"--c {c} with --N {N} gives n = c*N = {n}, not finite and positive")
     if abs(n - round(n)) > 1e-9:
         raise UsageError(f"--c {c} with --N {N} gives non-integer n = c*N")
     profile = make_profile("ones", int(round(n)), N, 0)

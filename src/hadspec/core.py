@@ -46,14 +46,6 @@ class ZeroColumnError(ProfileValidationError):
         super().__init__(f"column {k} (0-based) has no positive weight; every column must be nonzero")
 
 
-class DimensionMismatchError(ValueError):
-    """Matrix dimensions do not agree with the weight profile."""
-
-
-class LengthMismatchError(ValueError):
-    """Paired sequences must have equal length."""
-
-
 # ---------------------------------------------------------------------------
 # weight profile
 # ---------------------------------------------------------------------------
@@ -291,9 +283,11 @@ class DensityCurve:
     """Grid representation of the deterministic-equivalent distribution.
 
     density holds (1/pi) times the eta->0 extrapolation of Im G(x + i eta),
-    clamped at zero; cdf accumulates it by the trapezoid rule plus any
-    detected point mass at zero. failed_xs lists grid abscissae where the
-    solver failed; those points are absent from xs and the curve is partial.
+    clamped at zero; cdf accumulates it by the trapezoid rule, plus
+    atom_at_zero from x = 0 on.  density_curve books no atom, so its
+    total_mass is what its grid integrates. failed_xs lists grid abscissae
+    where the solver failed; those points are absent from xs and the curve
+    is partial.
     """
 
     xs: np.ndarray
@@ -308,7 +302,7 @@ class DensityCurve:
         de = _readonly(np.array(self.density, dtype=float))
         cd = _readonly(np.array(self.cdf, dtype=float))
         if not (len(xs) == len(de) == len(cd)):
-            raise LengthMismatchError("xs, density and cdf must align")
+            raise ValueError("xs, density and cdf must align")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("xs must be strictly ascending")
         if np.any(de < 0):

@@ -37,17 +37,27 @@ from .stieltjes import (DEFAULT_ETAS, InversionConfig, _eta_schedule, density_cu
 from .tightness import plan_truncation, truncate_profile
 
 GENERATORS = ("constant", "ones", "block", "iid_uniform", "spiked")
+# the argument counts each generator reads; block reads any number of levels
+_ARG_COUNTS = {"ones": (0,), "constant": (0, 1), "iid_uniform": (0, 2), "spiked": (0, 1, 2)}
 
 
 def make_profile(generator: str, n: int, N: int, seed: int = 0) -> WeightProfile:
     """Build a weight profile from an inline generator spec.
 
     Specs: "constant[:value]", "ones", "block:l1,l2,...", "iid_uniform:lo,hi",
-    "spiked:k,height".  Random generators derive their stream from
-    (seed, n, N) so every size is reproducible independently.
+    "spiked:k,height".  Arguments left out take their defaults (iid_uniform's
+    two together); an argument count the generator does not read, or a
+    non-integer spike count, is refused.
+    Random generators derive their stream from (seed, n, N) so every size
+    is reproducible independently.
     """
     name, _, argstr = generator.partition(":")
     args = [float(tok) for tok in argstr.split(",") if tok] if argstr else []
+    if name in _ARG_COUNTS and len(args) not in _ARG_COUNTS[name]:
+        raise ValueError(f"profile generator {generator!r}: {name} takes "
+                         f"{' or '.join(map(str, _ARG_COUNTS[name]))} arguments, not {len(args)}")
+    if name == "spiked" and args and not args[0].is_integer():
+        raise ValueError(f"profile generator {generator!r}: the spike count must be an integer")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(n), int(N)]))
     if name == "ones":
         return validate_profile(np.ones((n, N)))
@@ -62,7 +72,7 @@ def make_profile(generator: str, n: int, N: int, seed: int = 0) -> WeightProfile
             entries[band, :] = level
         return validate_profile(entries)
     if name == "iid_uniform":
-        lo, hi = (args + [0.0, 2.0])[:2]
+        lo, hi = args or (0.0, 2.0)
         return validate_profile(rng.uniform(lo, hi, (n, N)))
     if name == "spiked":
         k = int(args[0]) if args else max(1, n // 16)
@@ -211,7 +221,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
         try:
             profile = make_profile(spec.profile_generator, n, N, spec.master_seed)
             plan = plan_truncation(profile, spec.epsilon)
-            truncated = truncate_profile(profile, max(plan.M, np.finfo(float).tiny))
+            truncated = truncate_profile(profile, plan.M)
             t = _lap(stage, "plan_s", t)
             xs = default_x_grid(truncated)
             key = _inversion_key(truncated, xs)

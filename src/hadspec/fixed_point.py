@@ -62,10 +62,6 @@ _POWER_CAP = 50_000
 _POWER_STALL = 1e-10
 
 
-class NonpositiveImaginaryInputError(ValueError):
-    """An input vector left the open upper half-plane."""
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Fixed-point solver knobs: the residual target and the map-application budget."""
@@ -114,7 +110,7 @@ def _as_z(z) -> complex:
 
 def _check_upper(e: np.ndarray) -> None:
     if np.any(e.imag <= 0):
-        raise NonpositiveImaginaryInputError("every component must have positive imaginary part")
+        raise ValueError("every component must have positive imaginary part")
 
 
 # ---------------------------------------------------------------------------

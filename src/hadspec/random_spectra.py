@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, EmpiricalDistribution, WeightProfile
+from .core import EmpiricalDistribution, WeightProfile
 
 FAMILIES = ("rademacher", "uniform_pm", "gaussian", "two_point_asym")
 
@@ -29,10 +29,6 @@ _TWO_POINT_HI = math.sqrt((1 - _TWO_POINT_P) / _TWO_POINT_P)
 _TWO_POINT_LO = -math.sqrt(_TWO_POINT_P / (1 - _TWO_POINT_P))
 
 _DEGENERATE_SIGMA = 1e-12
-
-
-class ConvergenceFailureError(RuntimeError):
-    """The dense eigensolver failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -175,7 +171,7 @@ def build_B(profile: WeightProfile, X: np.ndarray) -> np.ndarray:
     """Weighted sample covariance (1/N)(D o X)(D o X)*, Hermitian PSD."""
     X = np.asarray(X)
     if X.shape != (profile.n, profile.N):
-        raise DimensionMismatchError(
+        raise ValueError(
             f"matrix shape {X.shape} does not match profile ({profile.n}, {profile.N})")
     Y = profile.entries * X
     return Y @ Y.conj().T / profile.N
@@ -185,14 +181,11 @@ def hermitian_eigenvalues(B: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix."""
     B = np.asarray(B)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise DimensionMismatchError("expected a square matrix")
+        raise ValueError("expected a square matrix")
     scale = max(float(np.max(np.abs(B))), 1e-300)
     if float(np.max(np.abs(B - B.conj().T))) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian")
-    try:
-        return np.linalg.eigvalsh(B)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(str(exc)) from exc
+    return np.linalg.eigvalsh(B)
 
 
 def empirical_spectrum(profile: WeightProfile, sampler: EntrySampler,

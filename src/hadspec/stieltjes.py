@@ -5,8 +5,9 @@ evaluated on a descending eta schedule (_eta_schedule, the one validity
 rule) and extrapolated by _richardson, the one eta -> 0 rule of both
 inversions, at every point alike.  Horizontal-line inversion conserves
 total mass exactly at fixed eta, so the CDF is the trapezoid accumulation
-of the extrapolated density plus any point mass detected at zero by mass
-deficit.
+of the extrapolated density, and the curve's total mass is what its grid
+integrates: mass beyond the grid's ends, or in an eta-spike at 0 the grid
+does not resolve, is missing from it, not moved elsewhere.
 Trapezoids join only neighbouring grid points: a gap (a point in the
 curve's failed_xs) adds no mass, and the CDF is flat across it.
 
@@ -28,9 +29,6 @@ from .fixed_point import SolverConfig, _finish, solve_batch, solve_e0
 
 # the default eta -> 0 schedule of both inversions and the compare cells
 DEFAULT_ETAS = (1e-2, 5e-3, 2.5e-3)
-
-# a deficit 1 - int density above this is booked as a point mass at zero
-_ATOM_THRESHOLD = 0.02
 
 # Interval masses: Gauss-Legendre order, and the widest panel in units of
 # the smallest eta of the schedule.
@@ -183,9 +181,10 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
     per eta level, warm-starting each level from the previous one
     (continuation in descending v).  The density at each certified point
     is max(_richardson(etas, Im G at the two smallest heights), 0) / pi.
+    The CDF is the trapezoid accumulation of that density and books no
+    atom: mass the grid does not integrate is missing from total_mass.
     Points not certified at a level used by the extrapolation are gaps:
-    the curve is partial, books no atom and adds no mass across a gap, so
-    the mass the gaps lose stays missing.
+    the curve is partial and adds no mass across a gap.
     """
     scfg = solver_cfg or SolverConfig()
     xs = cfg.x_grid
@@ -198,13 +197,9 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
 
     if len(xs_ok) < 2:
         raise QuadratureStallError("too few converged grid points to integrate a density")
-    steps = _trapezoid_steps(xs_ok, density, failed)
-    deficit = 1.0 - float(steps.sum())
-    atom = deficit if deficit > _ATOM_THRESHOLD and not failed else 0.0
-    cdf = np.concatenate([[0.0], np.cumsum(steps)]) + atom * (xs_ok >= 0.0)
+    cdf = np.concatenate([[0.0], np.cumsum(_trapezoid_steps(xs_ok, density, failed))])
 
-    curve = DensityCurve(xs=xs_ok, density=density, cdf=cdf,
-                         eta_used=etas, atom_at_zero=atom, failed_xs=failed)
+    curve = DensityCurve(xs=xs_ok, density=density, cdf=cdf, eta_used=etas, failed_xs=failed)
     if with_diagnostics:
         return curve, DensityDiagnostics(levels=levels)
     return curve

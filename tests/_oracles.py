@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
-from hadspec.core import DensityCurve, EmpiricalDistribution, LengthMismatchError, ReducedProfile
+from hadspec.core import DensityCurve, EmpiricalDistribution, ReducedProfile
 from hadspec.fixed_point import _DEPTH, _REG, SolverConfig, _map, row_denominators, solve_e0
 from hadspec.random_spectra import _draw
 from hadspec.metrics import TestFunctionIndex
@@ -108,7 +108,7 @@ def wasserstein_sq_bound(xs, ys) -> float:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
-        raise LengthMismatchError("inputs must be 1-d sequences of equal length")
+        raise ValueError("inputs must be 1-d sequences of equal length")
     if np.any(np.diff(xs) < 0) or np.any(np.diff(ys) < 0):
         raise ValueError("inputs must be ascending")
     return float(np.sqrt(np.mean((xs - ys) ** 2)))
@@ -521,14 +521,3 @@ def scratch_d_metric_atoms(xs, ys, i_max: int) -> float:
         fb = np.mean([scratch_tf_value(m, a, b, y) for y in ys])
         total += abs(fa - fb) * 2.0 ** (-i)
     return total
-
-
-# -- misc ---------------------------------------------------------------------
-
-def ks_empirical_vs_function(evals: np.ndarray, cdf_fn) -> float:
-    evals = np.sort(np.asarray(evals, dtype=float))
-    n = len(evals)
-    G = np.array([cdf_fn(t) for t in evals])
-    hi = np.max(np.abs(np.arange(1, n + 1) / n - G))
-    lo = np.max(np.abs(np.arange(0, n) / n - G))
-    return float(max(hi, lo))

@@ -70,6 +70,15 @@ class TestMpCheck:
         assert status == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--c=inf", "--c=1e308", "--c=nan", "--c=0", "--c=-1", "--N=0"])
+    def test_degenerate_instance_is_usage_error(self, capsys, flag):
+        # each asks for an empty, NaN- or infinite-sized instance: refused
+        # before one is built, with no traceback
+        assert run_cli(["mp-check", flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestDensityCommand:
     def test_csv_mass_in_window(self, tmp_path, capsys):
@@ -127,6 +136,26 @@ class TestDensityCommand:
         xs = np.loadtxt(out, delimiter=",", skiprows=1, usecols=0)
         assert xs[-1] == 0.0
         assert read_json(out + ".manifest.json")["options"]["xmax"] == 0.0
+
+    def test_grid_cutting_the_support_books_no_atom(self, tmp_path, capsys):
+        # the grid ends at 2, short of the edge at 4: the mass above 2 is
+        # missing from the total, not booked as an atom at 0
+        out = str(tmp_path / "density.csv")
+        assert run_cli(["density", "--profile", "ones", "--n", "64", "--N", "64",
+                        "--xmax", "2", "-o", out]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.endswith(", atom 0.000000)\n")
+        mass = float(stdout.split("(mass ")[1].split(",")[0])
+        assert mass == pytest.approx(0.8187, abs=1e-3)
+        manifest = read_json(out + ".manifest.json")
+        assert manifest["options"]["total_mass"] < 0.82
+        assert manifest["options"]["atom_at_zero"] == 0.0
+
+    def test_unread_generator_argument_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["density", "--profile", "constant:1,5", "--n", "16", "--N", "16"]) == 1
+        assert "ValueError: profile generator 'constant:1,5'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("flag", [["--xmin", "nan"], ["--xmax", "inf"]])
     def test_nonfinite_grid_refused(self, tmp_path, monkeypatch, capsys, flag):
@@ -395,6 +424,15 @@ class TestCompareCommand:
         assert rows[1]["error"].startswith("EmptyMatrixError: ")
         cell = read_json(prefix + ".manifest.json")["trace"]["cells"]["0x8"]
         assert (cell["failed_stage"], cell["error_type"]) == ("plan", "EmptyMatrixError")
+
+    @pytest.mark.parametrize("generator", ["fractal", "constant:1,5"])
+    def test_bad_generator_fails_its_cells(self, tmp_path, capsys, generator):
+        prefix = str(tmp_path / "report")
+        assert run_cli(["compare", "--generator", generator, "--sizes", "8x8", "--trials", "1",
+                        "-o", prefix]) == 1
+        with open(prefix + ".csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and rows[0]["error"].startswith("ValueError: ")
 
     def test_repeated_size_refused(self, tmp_path, capsys):
         prefix = str(tmp_path / "report")

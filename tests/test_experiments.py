@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,21 @@ class TestMakeProfile:
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
             make_profile("fractal", 4, 4)
+
+    @pytest.mark.parametrize("spec", ["constant:1,5", "ones:7", "iid_uniform:0,2,9",
+                                      "iid_uniform:1", "spiked:3,9,1", "spiked:2.5,9"])
+    def test_refuses_arguments_it_does_not_read(self, spec):
+        # a run records its spec, so the spec must be the profile it builds:
+        # no argument is dropped and no spike count truncated
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            make_profile(spec, 8, 8)
+
+    @pytest.mark.parametrize("spec", ["ones", "constant", "constant:2", "iid_uniform",
+                                      "iid_uniform:0,2", "spiked", "spiked:3", "spiked:3.0,9",
+                                      "block", "block:1", "block:1,2,3"])
+    def test_accepts_every_argument_count_it_reads(self, spec):
+        profile = make_profile(spec, 8, 8)
+        assert (profile.n, profile.N) == (8, 8)
 
     def test_default_grid_covers_spectrum(self):
         p = make_profile("ones", 16, 16)

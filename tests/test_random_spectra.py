@@ -12,7 +12,6 @@ from hadspec import (
     truncate_center_rescale,
     validate_profile,
 )
-from hadspec.core import DimensionMismatchError
 from hadspec.random_spectra import truncated_moments
 
 from _oracles import (
@@ -187,7 +186,7 @@ class TestBuildB:
         assert np.trace(B) == pytest.approx(np.sum(np.abs(X) ** 2) / 12, rel=1e-13)
 
     def test_dimension_mismatch(self, rand_profile):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match="does not match profile"):
             build_B(rand_profile, np.zeros((3, 3)))
 
 

@@ -29,6 +29,25 @@ GAPS = {
 }
 
 
+def _default_grid(generator, n, N, lo=None, hi=None):
+    profile = make_profile(generator, n, N, seed=1)
+    return profile, default_x_grid(profile, lo, hi)
+
+
+# (profile, grid) builders: four grids that cut the support, then the
+# default grids of a square, a tall and a wide shape
+MASS_CASES = {
+    "ones_64x64_xmax_2": lambda: _default_grid("ones", 64, 64, hi=2.0),
+    "ones_8x8_xmax_0": lambda: _default_grid("ones", 8, 8, hi=0.0),
+    "constant_32x64_xmin_0.5": lambda: _default_grid("constant", 32, 64, lo=0.5),
+    "ones_32x16_unrefined": lambda: (validate_profile(np.ones((32, 16))), edge_refined_grid(
+        -0.5, 1.25 * (1 + np.sqrt(2)) ** 2 + 0.5, n_uniform=141, n_edge=0)),
+    "iid_uniform_16x16": lambda: _default_grid("iid_uniform:0,2", 16, 16),
+    "constant_32x16": lambda: _default_grid("constant", 32, 16),
+    "block_16x32": lambda: _default_grid("block:0.5,1.5", 16, 32),
+}
+
+
 @pytest.fixture(scope="module")
 def mp_curve(ones16):
     grid = edge_refined_grid(-0.5, 5.2, n_uniform=141)
@@ -122,23 +141,34 @@ class TestDensityCurve:
         assert np.max(np.abs(c2.density - c1.density / s**2)) <= 1e-8
         assert c2.total_mass == pytest.approx(c1.total_mass, abs=1e-8)
 
-    def test_atom_at_zero_detected_when_n_exceeds_N(self):
+    def test_unresolved_spike_at_zero_is_missing_mass_when_n_exceeds_N(self):
         # n = 2N: half the eigenvalues of B are exactly zero, so the
-        # equivalent carries mass 1/2 at the origin.  On a grid too coarse
-        # to resolve the eta-width spike the detector books it as an atom;
-        # an edge-refined grid instead integrates the resolved spike, and
-        # either way total mass is conserved.
+        # equivalent carries mass 1/2 at the origin.  A grid too coarse to
+        # resolve the eta-width spike books no atom: the spike's mass is
+        # missing from the total.  An edge-refined grid integrates the
+        # resolved spike and conserves total mass.
         p = validate_profile(np.ones((32, 16)))
         hi = 1.25 * (1 + np.sqrt(2)) ** 2 + 0.5
         coarse = density_curve(p, InversionConfig(x_grid=edge_refined_grid(
             -0.5, hi, n_uniform=141, n_edge=0)))
         # trapezoid cells adjacent to 0 still skim a sliver of the spike,
-        # so the booked atom sits slightly below the exact 1/2
-        assert coarse.atom_at_zero == pytest.approx(0.5, abs=0.08)
-        assert 0.99 <= coarse.total_mass <= 1.01
+        # so the mass sits slightly above the continuous part's 1/2
+        assert coarse.atom_at_zero == 0.0
+        assert 0.49 <= coarse.total_mass <= 0.52
         refined = density_curve(p, InversionConfig(x_grid=edge_refined_grid(
             -0.5, hi, n_uniform=141)))
         assert 0.99 <= refined.total_mass <= 1.01
+
+    @pytest.mark.parametrize("case", list(MASS_CASES))
+    def test_total_mass_is_what_the_grid_integrates(self, case):
+        # no mass the grid misses, off its ends or in an unresolved spike at
+        # 0, is booked as an atom; the first four grids cut the support
+        profile, grid = MASS_CASES[case]()
+        curve = density_curve(profile, InversionConfig(x_grid=grid))
+        assert not curve.partial
+        assert curve.atom_at_zero == 0.0
+        assert curve.total_mass == pytest.approx(np.trapezoid(curve.density, curve.xs),
+                                                 rel=1e-12)
 
     def test_partial_curve_records_gaps(self, ones16, uncertify):
         cfg = InversionConfig(x_grid=np.linspace(-1.0, 5.0, 25), eta_sequence=(0.5, 0.25))
