@@ -21,7 +21,7 @@ from .core import (
     validate_profile,
 )
 from .fixed_point import SolverConfig, build_certificate, row_denominators, solve_e0, solve_grid
-from .stieltjes import InversionConfig, cdf_interval, density_curve, edge_refined_grid, mass_check
+from .stieltjes import InversionConfig, cdf_interval, density_curve, mass_check
 from .random_spectra import (
     EntrySampler,
     build_B,

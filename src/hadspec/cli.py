@@ -135,7 +135,7 @@ def _fmt(x: float) -> str:
 
 # the keys a config file may set; each names the dest of an option
 CONFIG_KEYS = frozenset(("seed", "tol", "max_iter", "n", "N", "profile", "family", "trials",
-                         "epsilon", "generator", "sizes", "xmin", "xmax", "points", "eta", "c"))
+                         "epsilon", "generator", "sizes", "xmax", "points", "eta", "c"))
 
 
 def load_config(path: str) -> dict:
@@ -205,15 +205,13 @@ def cmd_solve(args) -> int:
 
 def cmd_density(args) -> int:
     profile = load_profile(args)
-    grid = default_x_grid(profile, args.xmin, args.xmax, args.points)
+    grid = default_x_grid(profile, args.xmax, args.points)
     cfg = InversionConfig(x_grid=grid, eta_sequence=args.eta)
     curve = density_curve(profile, cfg, solver_from(args))
     atomic_write(args.out, curve.write_csv)
-    write_manifest(args, [args.out], n=profile.n, N=profile.N, xmin=float(grid[0]),
-                   xmax=float(grid[-1]), atom_at_zero=curve.atom_at_zero,
+    write_manifest(args, [args.out], n=profile.n, N=profile.N, atom_at_zero=curve.atom_at_zero,
                    total_mass=curve.total_mass, partial=curve.partial)
-    print(f"wrote {args.out} (mass {curve.total_mass:.6f}, "
-          f"negative_mass {curve.negative_mass:.6f}, atom {curve.atom_at_zero:.6f})")
+    print(f"wrote {args.out} (mass {curve.total_mass:.6f}, atom {curve.atom_at_zero:.6f})")
     return 1 if curve.partial else 0
 
 
@@ -334,11 +332,11 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="invert G into a density/CDF CSV")
     common(p, "density.csv", solves=True)
-    p.add_argument("--xmin", type=float, help="default: -0.05 xmax - 0.1")
-    p.add_argument("--xmax", type=float, help="default: 1.25 x the spectral-edge bound + 0.1")
-    p.add_argument("--points", type=int, default=141)
+    p.add_argument("--xmax", type=float, help="end of the grid, uniform in sqrt(x) on (0, xmax); "
+                   "default: 1.25 x the spectral-edge bound + 0.1")
+    p.add_argument("--points", type=int, default=182)
     p.add_argument("--eta", type=parse_etas, default=DEFAULT_ETAS,
-                   help="descending eta schedule, comma separated")
+                   help="descending eta schedule of heights in sqrt(x), comma separated")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("simulate", help="sample random spectra to CSV")

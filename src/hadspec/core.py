@@ -280,14 +280,13 @@ class EmpiricalDistribution:
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """Grid representation of the deterministic-equivalent distribution.
+    """Grid representation of the deterministic-equivalent distribution on [0, inf).
 
-    density holds (1/pi) times the eta->0 extrapolation of Im G(x + i eta),
-    clamped at zero; cdf accumulates it by the trapezoid rule, plus
-    atom_at_zero from x = 0 on.  density_curve books no atom, so its
-    total_mass is what its grid integrates. failed_xs lists grid abscissae
-    where the solver failed; those points are absent from xs and the curve
-    is partial.
+    At the positive abscissae xs, density is the x-density rho_s(s) / s,
+    s = sqrt(x), and cdf is atom_at_zero plus the trapezoid rule in s of
+    2 rho_s from s = 0 (stieltjes._trapezoid_steps): the curve is 0 below 0
+    and atom_at_zero at 0.  failed_xs lists grid abscissae where the solver
+    failed; those points are absent from xs and the curve is partial.
     """
 
     xs: np.ndarray
@@ -303,8 +302,8 @@ class DensityCurve:
         cd = _readonly(np.array(self.cdf, dtype=float))
         if not (len(xs) == len(de) == len(cd)):
             raise ValueError("xs, density and cdf must align")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("xs must be strictly ascending")
+        if np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
+            raise ValueError("xs must be positive and strictly ascending")
         if np.any(de < 0):
             raise ValueError("density must be nonnegative")
         if np.any(np.diff(cd) < -1e-12):
@@ -321,19 +320,12 @@ class DensityCurve:
     def total_mass(self) -> float:
         return float(self.cdf[-1])
 
-    @property
-    def negative_mass(self) -> float:
-        """The curve's mass on x < 0, atom_at_zero excluded; 0 on a grid from 0 up.
-
-        Every eigenvalue of B is at least 0, so this is a floor under the
-        KS distance of the curve to any spectrum.
-        """
-        return float(np.interp(0.0, self.xs, self.cdf - self.atom_at_zero * (self.xs >= 0.0)))
-
     def cdf_at(self, x) -> np.ndarray:
-        """Piecewise-linear interpolation of the CDF; clamped outside the grid."""
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.cdf,
-                         left=0.0, right=float(self.cdf[-1]))
+        """The CDF, linear in sqrt(x) from (0, atom_at_zero) on; 0 below 0, flat past the grid."""
+        x = np.asarray(x, dtype=float)
+        inside = np.interp(np.sqrt(np.maximum(x, 0.0)), np.sqrt(np.r_[0.0, self.xs]),
+                           np.r_[self.atom_at_zero, self.cdf])
+        return np.where(x < 0.0, 0.0, inside)
 
     def write_csv(self, fh) -> None:
         eta = ";".join("%.17g" % e for e in self.eta_used)

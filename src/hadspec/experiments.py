@@ -32,8 +32,7 @@ from .core import WeightProfile, validate_profile
 from .fixed_point import SolverConfig
 from .metrics import TAIL_BOUND, TestIntegrals, d_metric, ks_distance
 from .random_spectra import EntrySampler, empirical_spectrum
-from .stieltjes import (DEFAULT_ETAS, InversionConfig, _eta_schedule, density_curve,
-                        edge_refined_grid)
+from .stieltjes import DEFAULT_ETAS, InversionConfig, _eta_schedule, density_curve
 from .tightness import plan_truncation, truncate_profile
 
 GENERATORS = ("constant", "ones", "block", "iid_uniform", "spiked")
@@ -46,8 +45,9 @@ def make_profile(generator: str, n: int, N: int, seed: int = 0) -> WeightProfile
 
     Specs: "constant[:value]", "ones", "block:l1,l2,...", "iid_uniform:lo,hi",
     "spiked:k,height".  Arguments left out take their defaults (iid_uniform's
-    two together); an argument count the generator does not read, or a
-    non-integer spike count, is refused.
+    two together); an argument count the generator does not read, more
+    block levels than rows, or a spike count that is not an integer in
+    [0, n N], is refused.
     Random generators derive their stream from (seed, n, N) so every size
     is reproducible independently.
     """
@@ -56,8 +56,9 @@ def make_profile(generator: str, n: int, N: int, seed: int = 0) -> WeightProfile
     if name in _ARG_COUNTS and len(args) not in _ARG_COUNTS[name]:
         raise ValueError(f"profile generator {generator!r}: {name} takes "
                          f"{' or '.join(map(str, _ARG_COUNTS[name]))} arguments, not {len(args)}")
-    if name == "spiked" and args and not args[0].is_integer():
-        raise ValueError(f"profile generator {generator!r}: the spike count must be an integer")
+    if name == "spiked" and args and not (args[0].is_integer() and 0 <= args[0] <= n * N):
+        raise ValueError(f"profile generator {generator!r}: the spike count must be an "
+                         f"integer in [0, {n * N}]")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(n), int(N)]))
     if name == "ones":
         return validate_profile(np.ones((n, N)))
@@ -66,6 +67,8 @@ def make_profile(generator: str, n: int, N: int, seed: int = 0) -> WeightProfile
         return validate_profile(np.full((n, N), value))
     if name == "block":
         levels = args or [0.5, 1.5]
+        if len(levels) > n:
+            raise ValueError(f"profile generator {generator!r}: {len(levels)} levels for {n} rows")
         bands = np.array_split(np.arange(n), len(levels))
         entries = np.empty((n, N))
         for band, level in zip(bands, levels):
@@ -78,24 +81,25 @@ def make_profile(generator: str, n: int, N: int, seed: int = 0) -> WeightProfile
         k = int(args[0]) if args else max(1, n // 16)
         height = args[1] if len(args) > 1 else 10.0
         entries = rng.uniform(0.5, 1.5, (n, N))
-        flat = rng.choice(n * N, size=min(k, n * N), replace=False)
+        flat = rng.choice(n * N, size=k, replace=False)
         entries.flat[flat] = height
         return validate_profile(entries)
     raise ValueError(f"unknown profile generator {generator!r}; choose from {GENERATORS}")
 
 
-def default_x_grid(profile: WeightProfile, lo: float | None = None, hi: float | None = None,
-                   points: int = 141) -> np.ndarray:
-    """The inversion grid: `points` uniform abscissae on [lo, hi], edge-refined at 0.
+def default_x_grid(profile: WeightProfile, hi: float | None = None,
+                   points: int = 182) -> np.ndarray:
+    """The inversion grid x_k = (sqrt(hi) (k + 1/2) / points)^2: midpoints uniform in sqrt(x).
 
     hi defaults to 1.25 times the spectral-edge bound max_entry^2 (1 + sqrt c)^2,
-    plus 0.1; lo defaults to -0.05 hi - 0.1.  Only None means the default.
+    plus 0.1; only None means the default, and any other hi (the CLI's
+    --xmax) must be finite and positive.
     """
     if hi is None:
         hi = 1.25 * profile.max_entry**2 * (1.0 + np.sqrt(profile.c)) ** 2 + 0.1
-    if lo is None:
-        lo = -0.05 * hi - 0.1
-    return edge_refined_grid(lo, hi, n_uniform=points, n_edge=50, width=min(0.25 * hi, 0.3))
+    if not 0.0 < hi < np.inf:
+        raise ValueError(f"xmax must be finite and positive, got {hi}")
+    return (np.sqrt(hi) * (np.arange(points) + 0.5) / points) ** 2
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,7 @@ class ComparisonReport:
     curve_mass: dict       # (n, N) -> total mass of the inverted curve
     total_runtime: float
     stages: dict           # (n, N) -> stage wall times in s, curve_reused_from,
-                           # negative_mass, failure
+                           # atom_at_zero, failure
 
     @property
     def medians(self) -> dict:
@@ -177,8 +181,8 @@ class ComparisonReport:
         times in seconds per size and stage (plan_s includes building the
         profile, invert_s the curve's test-function integrals), the size
         whose curve a size reused (None when it inverted its own), the
-        curve's negative_mass (the floor under every KS of the size), and a
-        failed size's failed_stage (plan or invert) and error_type."""
+        curve's atom_at_zero, and a failed size's failed_stage (plan or
+        invert) and error_type."""
         return {
             "total_runtime_s": self.total_runtime,
             "cells": {f"{n}x{N}": rec for (n, N), rec in self.stages.items()},
@@ -240,7 +244,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
                         for trial in range(spec.trials))
             continue
         curve_mass[(n, N)] = curve.total_mass
-        stage["negative_mass"] = curve.negative_mass
+        stage["atom_at_zero"] = curve.atom_at_zero
         seed = _size_seed(spec.master_seed, n, N)
         spectra = empirical_spectrum(profile, spec.sampler, None, spec.trials, seed=seed)
         t = _lap(stage, "simulate_s", t)

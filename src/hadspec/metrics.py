@@ -17,9 +17,9 @@ values reproducible.  Reported metric values are enumeration-relative.
 d_metric evaluates its I_MAX test functions at once, as one (I_MAX, points)
 array built from a cached table of 1/m, a and b by the formula that
 TestFunctionIndex.__call__ applies to one function: an empirical integral
-is a row mean, a curve integral a row trapezoid plus the atom term.  A
-partial curve's trapezoids add nothing across its gaps, the rule of its
-CDF.  TestIntegrals holds one distribution's integrals for reuse.  The
+is a row mean, a curve integral a row trapezoid in s = sqrt(x) plus the
+atom term.  A partial curve's trapezoids add nothing across its gaps, the
+rule of its CDF.  TestIntegrals holds one distribution's integrals for reuse.  The
 weighted differences are summed in ascending i as Python floats, as a
 per-function loop would, so the value is the loop's bit for bit.
 """
@@ -102,7 +102,9 @@ def _integrals(F):
     """int f_i dF for i = 1..I_MAX: exact atom means for empirical F, trapezoid for a curve.
 
     Row i of each (I_MAX, points) array holds f_i at every point.  A curve
-    integrates by its own CDF's rule, adding nothing across a gap.
+    integrates by its own CDF's rule: the trapezoid rule in s = sqrt(x) of
+    2 f(s^2) rho_s from s = 0, adding nothing across a gap, plus
+    atom_at_zero f(0).
     """
     if isinstance(F, TestIntegrals):
         return F.values
@@ -110,12 +112,9 @@ def _integrals(F):
     if isinstance(F, EmpiricalDistribution):
         return _trapezoid_fn(F.atoms, *table).mean(axis=1).tolist()
     if isinstance(F, DensityCurve):
-        y = _trapezoid_fn(F.xs, *table) * F.density
-        vals = _trapezoid_steps(F.xs, y, F.failed_xs).sum(axis=1).tolist()
-        if F.atom_at_zero:
-            at_zero = _trapezoid_fn(0.0, *table)[:, 0].tolist()
-            vals = [v + F.atom_at_zero * f0 for v, f0 in zip(vals, at_zero)]
-        return vals
+        f = _trapezoid_fn(np.concatenate([[0.0], F.xs]), *table)
+        steps = _trapezoid_steps(F.xs, F.density * np.sqrt(F.xs), F.failed_xs, f)
+        return (steps.sum(axis=1) + F.atom_at_zero * f[:, 0]).tolist()
     raise TypeError(f"cannot integrate against {type(F).__name__}")
 
 
@@ -149,7 +148,7 @@ def d_metric(F, G) -> float:
 
 
 def ks_distance(F: EmpiricalDistribution, G) -> float:
-    """Sup-norm distance, evaluated from both sides at every atom."""
+    """Sup-norm distance, evaluated from both sides at every atom and at 0."""
     if not isinstance(F, EmpiricalDistribution):
         raise TypeError("first argument must be an EmpiricalDistribution")
     if isinstance(G, EmpiricalDistribution):
@@ -157,9 +156,10 @@ def ks_distance(F: EmpiricalDistribution, G) -> float:
         diffs = [np.abs(F.cdf(pts) - G.cdf(pts)), np.abs(F.cdf_left(pts) - G.cdf_left(pts))]
         return float(max(np.max(d) for d in diffs))
     if isinstance(G, DensityCurve):
-        pts = np.union1d(F.atoms, G.xs)
+        # the curve jumps by its atom at 0: left limits there are F's and 0
+        pts = np.union1d(F.atoms, np.append(G.xs, 0.0))
         gv = G.cdf_at(pts)
         hi = np.max(np.abs(F.cdf(pts) - gv))
-        lo = np.max(np.abs(F.cdf_left(pts) - gv))
+        lo = np.max(np.abs(F.cdf_left(pts) - np.where(pts == 0.0, 0.0, gv)))
         return float(max(hi, lo))
     raise TypeError(f"cannot compare against {type(G).__name__}")

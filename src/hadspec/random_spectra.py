@@ -192,7 +192,9 @@ def empirical_spectrum(profile: WeightProfile, sampler: EntrySampler,
                        eta_n: float | None = None, trials: int = 1, seed: int = 0):
     """One eigenvalue e.d.f. per trial; trial t draws from SeedSequence([seed, t]).
 
-    With eta_n the entries go through truncate_center_rescale first.
+    With eta_n the entries go through truncate_center_rescale first.  For
+    n > N the spectrum is n - N exact zeros and the eigenvalues of the N x N
+    (D o X)*(D o X) / N: eigvalsh(B) would return B's null space as +-1e-16.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -202,6 +204,11 @@ def empirical_spectrum(profile: WeightProfile, sampler: EntrySampler,
         X = _draw(rng, profile.n, profile.N, sampler)
         if eta_n is not None:
             X, _ = truncate_center_rescale(X, eta_n, sampler)
-        B = build_B(profile, X)
-        out.append(EmpiricalDistribution(hermitian_eigenvalues(B)))
+        if profile.n > profile.N:
+            Y = profile.entries * X
+            evals = np.sort(np.append(np.zeros(profile.n - profile.N),
+                                      hermitian_eigenvalues(Y.conj().T @ Y / profile.N)))
+        else:
+            evals = hermitian_eigenvalues(build_B(profile, X))
+        out.append(EmpiricalDistribution(evals))
     return out

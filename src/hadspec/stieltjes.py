@@ -1,21 +1,17 @@
 """Recover the deterministic-equivalent density and CDF from G by inversion.
 
-The boundary density at x is (1/pi) lim Im G(x + i eta) as eta -> 0+,
-evaluated on a descending eta schedule (_eta_schedule, the one validity
-rule) and extrapolated by _richardson, the one eta -> 0 rule of both
-inversions, at every point alike.  Horizontal-line inversion conserves
-total mass exactly at fixed eta, so the CDF is the trapezoid accumulation
-of the extrapolated density, and the curve's total mass is what its grid
-integrates: mass beyond the grid's ends, or in an eta-spike at 0 the grid
-does not resolve, is missing from it, not moved elsewhere.
-Trapezoids join only neighbouring grid points: a gap (a point in the
-curve's failed_xs) adds no mass, and the CDF is flat across it.
-
-Both inversions run one batched sweep down the eta schedule: the density
-on its x grid, interval masses on the nodes of 8-point Gauss-Legendre
-panels at most 2 eta_min wide (Im G(x + i eta) is analytic for
-|Im x| < eta), certifying every point at every level; the density's
-diagnostics keep one record per level.  Memory is O(points x unique columns).
+The law of B lives on [0, inf), with an atom a at 0 when n > N.
+density_curve inverts in s = sqrt(x): w G(w^2) is the Stieltjes transform
+of the symmetrised singular-value law, whose density rho_s is bounded at 0
+and whose only singularity there is the atom's pole -a/w.  So it solves at
+w = s + i eta (eta is a height in s), books the measured atom (_atom) as
+the CDF's jump at 0, and reads rho_s = (1/pi) Im[w G(w^2) + a/w] through
+_richardson, the one eta -> 0 rule of both inversions, on a schedule valid
+by _eta_schedule.  Both inversions run one batched sweep (_sweep) down the
+schedule, certifying every point at every level: the density at
+(s + i eta)^2, interval masses at x + i eta on the nodes of 8-point
+Gauss-Legendre panels at most 2 eta_min wide (Im G(x + i eta) is analytic
+for |Im x| < eta).  Memory is O(points x unique columns).
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityCurve, WeightProfile, _readonly
-from .fixed_point import SolverConfig, _finish, solve_batch, solve_e0
+from .fixed_point import SolverConfig, _finish, _iterate, solve_batch, solve_e0
 
 # the default eta -> 0 schedule of both inversions and the compare cells
 DEFAULT_ETAS = (1e-2, 5e-3, 2.5e-3)
@@ -34,6 +30,8 @@ DEFAULT_ETAS = (1e-2, 5e-3, 2.5e-3)
 # the smallest eta of the schedule.
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _PANEL_ETAS = 2.0
+# the atom's heights y in units of the profile's first moment mean(d^2)
+_ATOM_HEIGHTS = (1e-5, 1e-7)
 
 
 class QuadratureStallError(RuntimeError):
@@ -52,7 +50,7 @@ def _eta_schedule(etas) -> tuple:
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Inversion grid and eta -> 0 schedule.
+    """Inversion grid (x > 0) and eta -> 0 schedule of heights in s = sqrt(x).
 
     With two or more heights the density is Richardson-extrapolated from the
     two smallest; a single height is used as it is.
@@ -65,31 +63,12 @@ class InversionConfig:
         xs = _readonly(np.array(self.x_grid, dtype=float))
         if xs.ndim != 1 or xs.size == 0:
             raise ValueError("x_grid must be a nonempty 1-d array")
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("x_grid must be finite")
+        if not np.all((xs > 0) & (xs < np.inf)):
+            raise ValueError("x_grid must be finite and positive")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("x_grid must be strictly ascending")
         object.__setattr__(self, "x_grid", xs)
         object.__setattr__(self, "eta_sequence", _eta_schedule(self.eta_sequence))
-
-
-def edge_refined_grid(lo: float, hi: float, n_uniform: int = 141,
-                      n_edge: int = 50, width: float = 0.25) -> np.ndarray:
-    """Uniform grid plus two-sided sqrt-graded refinement around the hard edge 0.
-
-    Sample-covariance spectra can pile mass against x = 0 with a 1/sqrt(x)
-    density; resolving the eta-smoothed spike on both flanks is what keeps
-    the trapezoid CDF mass-accurate.
-    """
-    if not -np.inf < lo < hi < np.inf:
-        raise ValueError(f"need finite lo < hi, got lo={lo}, hi={hi}")
-    xs = np.linspace(lo, hi, n_uniform)
-    if n_edge > 0:
-        s = (np.linspace(0.0, 1.0, n_edge + 1)[1:] ** 2) * width
-        ref = np.concatenate([-s, s, [0.0]])
-        ref = ref[(ref >= lo) & (ref <= hi)]
-        xs = np.concatenate([xs, ref])
-    return np.unique(xs)
 
 
 @dataclass(frozen=True)
@@ -123,25 +102,26 @@ class DensityDiagnostics:
         return max(lv.rho_max for lv in self.levels)
 
 
-def _sweep(profile: WeightProfile, xs: np.ndarray, etas: tuple, scfg: SolverConfig):
-    """Solve and certify every x + i eta, each level warm-started from the one above.
+def _sweep(profile: WeightProfile, z_of, etas: tuple, scfg: SolverConfig):
+    """Solve and certify the points z_of(eta) of each level, warm-started from the one above.
 
-    Returns Im G at the levels the eta -> 0 estimate uses (the two smallest
+    Returns G at the levels the eta -> 0 estimate uses (the two smallest
     heights, or the only one), shape (used, points); the mask of points
     certified at all of those levels; and one LevelDiagnostics per level.
     """
-    im, ok, levels = [], [], []
+    gs, ok, levels = [], [], []
     e_red = None
     for eta in etas:
-        e_red, res, iters = solve_batch(profile, xs, eta, scfg, warm=e_red)
-        g, rho, defect, ok_eta = _finish(profile, e_red, xs + 1j * eta, res, scfg.tol)
-        im.append(g.imag)
+        z = z_of(eta)
+        e_red, res, iters = solve_batch(profile, z.real, z.imag, scfg, warm=e_red)
+        g, rho, defect, ok_eta = _finish(profile, e_red, z, res, scfg.tol)
+        gs.append(g)
         ok.append(ok_eta)
         levels.append(LevelDiagnostics(
             eta=eta, unconverged=int(np.count_nonzero(~ok_eta)), residual_max=float(res.max()),
             rho_max=float(rho.max()), defect_max=float(defect.max()), iterations=int(iters.sum())))
     used = min(len(etas), 2)
-    return np.array(im[-used:]), np.array(ok[-used:]).all(axis=0), tuple(levels)
+    return np.array(gs[-used:]), np.array(ok[-used:]).all(axis=0), tuple(levels)
 
 
 def _richardson(etas: tuple, y: np.ndarray):
@@ -159,47 +139,64 @@ def _richardson(etas: tuple, y: np.ndarray):
     return (y2 * eta1 - y1 * eta2) / (eta1 - eta2)
 
 
-def _trapezoid_steps(xs: np.ndarray, y: np.ndarray, failed_xs=()) -> np.ndarray:
-    """Trapezoid areas of y over each step of xs (y's last axis), 0 across a gap.
+def _atom(profile: WeightProfile, scfg: SolverConfig) -> float:
+    """The mass at 0: max(0, _richardson in sqrt(y) of y Im G(iy)), as one certified block.
 
-    A gap is a step whose interval holds a point of failed_xs.  The rule of
-    the density's CDF and of the metric's curve integrals; without gaps the
-    steps sum to np.trapezoid(y, xs, axis=-1) bit for bit.
+    y Im G(iy) tends to a as y -> 0, and a hard edge adds C sqrt(y), which
+    the extrapolation through _ATOM_HEIGHTS (in units of mean(d^2), so a
+    does not depend on the units of D) cancels.
     """
-    steps = np.diff(xs) * (y[..., 1:] + y[..., :-1]) / 2.0
+    ys = np.array(_ATOM_HEIGHTS) * float(profile.squared.mean())
+    e_red, res, _ = _iterate(profile, 1j * ys, scfg)
+    g, _, _, ok = _finish(profile, e_red, 1j * ys, res, scfg.tol)
+    if not ok.all():
+        raise QuadratureStallError("the atom at 0 did not converge")
+    return max(0.0, float(_richardson(tuple(np.sqrt(ys)), ys * g.imag)))
+
+
+def _trapezoid_steps(xs: np.ndarray, rho: np.ndarray, failed_xs=(), f=1.0) -> np.ndarray:
+    """Trapezoid areas in s = sqrt(x) of 2 f rho over (0, s_1, ..., s_P), 0 across a gap.
+
+    rho is the s-density at the xs, held at its first value on [0, s_1] (it
+    is even in s); f holds a weight at the nodes (0, xs) on its last axis.
+    A gap is a step whose interval holds a point of failed_xs.  The rule of
+    the density's CDF and of the metric's curve integrals.
+    """
+    s = np.sqrt(np.concatenate([[0.0], xs]))
+    y = 2.0 * f * np.concatenate([rho[:1], rho])
+    steps = np.diff(s) * (y[..., 1:] + y[..., :-1]) / 2.0
     after = np.searchsorted(xs, failed_xs)
-    steps[..., after[(after > 0) & (after < len(xs))] - 1] = 0.0
+    steps[..., after[after < len(xs)]] = 0.0
     return steps
 
 
 def density_curve(profile: WeightProfile, cfg: InversionConfig,
                   solver_cfg: SolverConfig | None = None,
                   with_diagnostics: bool = False):
-    """Invert G along the eta schedule into a density/CDF grid.
+    """Invert G in s = sqrt(x) along the eta schedule into a density/CDF grid.
 
-    Grid points are independent and are iterated in one data-parallel sweep
-    per eta level, warm-starting each level from the previous one
-    (continuation in descending v).  The density at each certified point
-    is max(_richardson(etas, Im G at the two smallest heights), 0) / pi.
-    The CDF is the trapezoid accumulation of that density and books no
-    atom: mass the grid does not integrate is missing from total_mass.
-    Points not certified at a level used by the extrapolation are gaps:
-    the curve is partial and adds no mass across a gap.
+    Each eta level is one data-parallel sweep at z = (s + i eta)^2,
+    warm-started from the level above.  At each certified point
+    rho_s = max(_richardson(etas, Im[w G(w^2) + a/w]), 0) / pi, a = _atom;
+    the curve's density is the x-density rho_s / s, and its CDF is a plus
+    _trapezoid_steps of rho_s.  Points not certified at a level the
+    estimate reads are gaps: the curve is partial and adds no mass across
+    a gap.
     """
     scfg = solver_cfg or SolverConfig()
     xs = cfg.x_grid
     etas = cfg.eta_sequence
-    im, good, levels = _sweep(profile, xs, etas, scfg)
+    s = np.sqrt(xs)
+    g, good, levels = _sweep(profile, lambda eta: (s + 1j * eta) ** 2, etas, scfg)
     failed = tuple(float(x) for x in xs[~good])
-    xs_ok = xs[good]
-
-    density = np.maximum(_richardson(etas, im[:, good]), 0.0) / np.pi
-
-    if len(xs_ok) < 2:
+    if np.count_nonzero(good) < 2:
         raise QuadratureStallError("too few converged grid points to integrate a density")
-    cdf = np.concatenate([[0.0], np.cumsum(_trapezoid_steps(xs_ok, density, failed))])
-
-    curve = DensityCurve(xs=xs_ok, density=density, cdf=cdf, eta_used=etas, failed_xs=failed)
+    atom = _atom(profile, scfg)
+    w = s[good] + 1j * np.array(etas[-len(g):])[:, None]
+    rho = np.maximum(_richardson(etas, (w * g[:, good] + atom / w).imag), 0.0) / np.pi
+    steps = _trapezoid_steps(xs[good], rho, failed)
+    curve = DensityCurve(xs=xs[good], density=rho / s[good], cdf=atom + np.cumsum(steps),
+                         eta_used=etas, atom_at_zero=atom, failed_xs=failed)
     if with_diagnostics:
         return curve, DensityDiagnostics(levels=levels)
     return curve
@@ -234,10 +231,11 @@ def cdf_interval(profile: WeightProfile, a: float, b: float, eta,
     half = np.diff(edges)[:, None] / 2.0
     xs = (edges[:-1, None] + half + half * _GAUSS_X).ravel()
 
-    im, ok, _ = _sweep(profile, xs, etas, solver_cfg or SolverConfig())
+    g, ok, _ = _sweep(profile, lambda eta: xs + 1j * eta, etas, solver_cfg or SolverConfig())
     failed = np.count_nonzero(~ok)
     if failed:
         raise QuadratureStallError(f"{failed} of {len(xs)} quadrature nodes did not converge")
+    im = np.ascontiguousarray(g.imag)       # a strided view would sum in another order
     return float(_richardson(etas, im @ (half * _GAUSS_W).ravel() / np.pi))
 
 

@@ -56,6 +56,52 @@ def mp_cdf_c1(x: float) -> float:
     return 0.5 + s / (2.0 * math.pi) + math.atan((x - 2.0) / s) / math.pi
 
 
+def _times_linear(q, lo, hi):
+    """q(e) (lo + hi e) for coefficient arrays q of shape (degree + 1, points), lowest first."""
+    zero = np.zeros_like(q[:1])
+    return np.concatenate([q * lo, zero]) + np.concatenate([zero, q * hi])
+
+
+def one_column_law(profile, points: int = 40_001):
+    """The exact law of a profile whose columns are all equal: (s_edges, cdf).
+
+    With levels a_l = d_l^2 on a share p_l of the rows, e = sum_l p_l a_l t /
+    (a_l - x t) with t = 1 + c e: at each real x, e prod_l (a_l - x t) =
+    sum_l p_l a_l t prod_{m != l} (a_m - x t), of degree L + 1 in e.  Its
+    root with Im e > 0 gives the density (1/pi) Im sum_l p_l t / (a_l - x t);
+    no such root, none.  The density is integrated in s = sqrt(x) by the
+    midpoint rule on `points` cells up to past the support's end, and the
+    atom at 0 is the mass it leaves.  cdf holds the law at x = s_edges^2,
+    its first entry the atom.
+    """
+    levels, counts = np.unique(profile.squared[:, 0], return_counts=True)
+    shares, c = counts / profile.n, profile.c
+    edges = np.linspace(0.0, 1.01 * math.sqrt(levels.max()) * (1.0 + math.sqrt(c)), points + 1)
+    xs = ((edges[1:] + edges[:-1]) / 2.0) ** 2
+    poly = _times_linear(np.ones((1, points)), 0.0, 1.0)          # e
+    rhs = np.zeros((len(levels) + 1, points))
+    for l, a in enumerate(levels):
+        poly = _times_linear(poly, a - xs, -c * xs)
+        others = np.ones((1, points))
+        for m, b in enumerate(levels):
+            if m != l:
+                others = _times_linear(others, b - xs, -c * xs)
+        rhs += shares[l] * a * _times_linear(others, 1.0, c)
+    poly[:-1] -= rhs
+    d = len(poly) - 1
+    companion = np.zeros((points, d, d))
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    companion[:, :, -1] = -(poly[:-1] / poly[-1]).T
+    e = np.linalg.eigvals(companion)
+    e = e[np.arange(points), np.argmax(e.imag, axis=1)]
+    t = 1.0 + c * e[:, None]
+    g = (shares * t / (levels - xs[:, None] * t)).sum(axis=1)
+    density = np.where(e.imag > 0, g.imag / math.pi, 0.0)
+    cont = np.cumsum(2.0 * np.sqrt(xs) * density * np.diff(edges))
+    atom = 1.0 - cont[-1]
+    return edges, np.concatenate([[atom], atom + cont])
+
+
 # -- full-size fixed-point maps -----------------------------------------------
 
 def iterate_e(profile, e, z) -> np.ndarray:
@@ -457,14 +503,16 @@ def reduced_profile_reference(profile) -> ReducedProfile:
 # -- test-function integrals, one function at a time ---------------------------
 
 def integrate_test_function(F, tf) -> float:
-    """int f dF: exact atom sum for empirical F, trapezoid for a curve."""
+    """int f dF: exact atom sum for empirical F, the curve's own rule for a curve."""
     if isinstance(F, EmpiricalDistribution):
         return float(np.mean(tf(F.atoms)))
     if isinstance(F, DensityCurve):
-        val = float(np.trapezoid(tf(F.xs) * F.density, F.xs))
-        if F.atom_at_zero:
-            val += F.atom_at_zero * float(tf(0.0))
-        return val
+        # trapezoid in s = sqrt(x) of 2 f(s^2) rho_s from s = 0, rho_s = density s
+        # held at its first value on [0, s_1]
+        nodes = np.concatenate([[0.0], F.xs])
+        rho = F.density * np.sqrt(F.xs)
+        y = 2.0 * tf(nodes) * np.concatenate([rho[:1], rho])
+        return float(np.trapezoid(y, np.sqrt(nodes))) + F.atom_at_zero * float(tf(0.0))
     raise TypeError(f"cannot integrate against {type(F).__name__}")
 
 

@@ -38,19 +38,26 @@ def uncertify(monkeypatch):
     """Leave chosen points of the inversion sweeps uncertified, whatever their solve did.
 
     uncertify({eta: abscissae, ...}) wraps stieltjes._finish so that every
-    point x + i eta whose x is among the abscissae given for its level eta
-    comes back with certified False; G, the certificate, the iterates and
-    every other point are left as solved.  A later call replaces the
-    pattern.  Returns the list of the zs that _finish has seen, one array
-    per level of each sweep, in order.
+    point of level eta at one of the abscissae x given for it comes back
+    with certified False: cdf_interval's node x + i eta, or density_curve's
+    point (sqrt(x) + i eta)^2.  G, the certificate, the iterates and every
+    other point are left as solved.  A later call replaces the pattern.
+    Returns the list of the zs that _finish has seen, one array per level
+    of each sweep (and one per atom solve), in order.
     """
     finish, seen = stieltjes._finish, []
 
     def install(pattern):
+        marked = np.zeros(0, dtype=complex)
+        for eta, xs in pattern.items():
+            xs = np.asarray(xs, dtype=float)
+            marked = np.concatenate([marked, xs + 1j * eta, (np.sqrt(xs.clip(0.0)) + 1j * eta) ** 2])
+
         def cleared(profile, e_red, zs, res, tol):
             seen.append(zs)
             g, rho, defect, ok = finish(profile, e_red, zs, res, tol)
-            return g, rho, defect, ok & ~np.isin(zs.real, pattern.get(zs.imag[0], ()))
+            hit = np.isclose(zs[:, None], marked[None, :], rtol=1e-12, atol=0.0).any(axis=1)
+            return g, rho, defect, ok & ~hit
 
         monkeypatch.setattr(stieltjes, "_finish", cleared)
         return seen

@@ -11,6 +11,8 @@ from hadspec.cli import atomic_write, build_parser, main, parse_sizes, parse_z
 from hadspec.experiments import default_x_grid, make_profile
 from hadspec.stieltjes import InversionConfig, density_curve
 
+from _oracles import mp_cdf_c1
+
 
 def run_cli(args, capsys=None):
     return main(args)
@@ -84,7 +86,7 @@ class TestDensityCommand:
     def test_csv_mass_in_window(self, tmp_path, capsys):
         out = str(tmp_path / "density.csv")
         status = run_cli(["density", "--profile", "ones", "--n", "128", "--N", "128",
-                          "--xmin", "-0.5", "--xmax", "4.5", "-o", out])
+                          "--xmax", "4.5", "-o", out])
         assert status == 0
         rows = read_text(out).strip().splitlines()
         assert rows[0] == "x,density,cdf,eta_used"
@@ -93,18 +95,31 @@ class TestDensityCommand:
         manifest = read_json(out + ".manifest.json")
         assert manifest["command"] == "density"
         assert manifest["outputs"] == [out]
-        # stdout states the curve's mass below 0 next to its total mass
+        # stdout states the curve's atom at 0 next to its total mass
         profile = make_profile("ones", 128, 128)
-        curve = density_curve(profile, InversionConfig(default_x_grid(profile, -0.5, 4.5)))
+        curve = density_curve(profile, InversionConfig(default_x_grid(profile, 4.5)))
         assert capsys.readouterr().out == (
-            f"wrote {out} (mass {curve.total_mass:.6f}, "
-            f"negative_mass {curve.negative_mass:.6f}, atom {curve.atom_at_zero:.6f})\n")
-        assert curve.negative_mass > 0.0
+            f"wrote {out} (mass {curve.total_mass:.6f}, atom {curve.atom_at_zero:.6f})\n")
+        assert curve.atom_at_zero < 1e-6
+
+    @pytest.mark.parametrize("argv, tol, atom", [
+        (["ones", "--n", "64", "--N", "32", "--eta", "1e-5,5e-6"], 1e-3, "0.500000"),
+        (["ones", "--n", "256", "--N", "128"], 1e-3, "0.500000"),
+        (["spiked:6,20", "--n", "128", "--N", "128", "--seed", "3"], 1e-2, "0.000000"),
+        (["constant:1e-3", "--n", "128", "--N", "128"], 1e-3, "0.000000")],
+        ids=["ones_64x32_small_eta", "ones_256x128", "spiked_128", "constant_1e-3_128"])
+    def test_mass_at_the_hard_edge(self, tmp_path, capsys, argv, tol, atom):
+        # inverted in x these read mass 6.229950, 1.007673, 1.602253 and 1.001088
+        out = str(tmp_path / "density.csv")
+        assert run_cli(["density", "--profile"] + argv + ["-o", out]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.endswith(f", atom {atom})\n")
+        assert float(stdout.split("(mass ")[1].split(",")[0]) == pytest.approx(1.0, abs=tol)
 
     def test_no_partial_files_left(self, tmp_path):
         out = str(tmp_path / "density.csv")
         run_cli(["density", "--profile", "ones", "--n", "16", "--N", "16",
-                 "--xmin", "-0.5", "--xmax", "4.5", "--points", "31",
+                 "--xmax", "4.5", "--points", "31",
                  "--eta", "2e-2,1e-2", "-o", out])
         leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         assert leftovers == []
@@ -118,7 +133,7 @@ class TestDensityCommand:
         assert read_json(out + ".manifest.json")["options"]["eta"] == [0.01]
 
     def test_default_grid_is_compares(self, tmp_path):
-        # with no --xmin/--xmax the command inverts on default_x_grid, as compare does
+        # with no --xmax the command inverts on default_x_grid, as compare does
         out = str(tmp_path / "density.csv")
         assert run_cli(["density", "--profile", "iid_uniform:0,2", "--n", "12", "--N", "16",
                         "--seed", "4", "--eta", "2e-2", "-o", out]) == 0
@@ -126,30 +141,42 @@ class TestDensityCommand:
         grid = default_x_grid(make_profile("iid_uniform:0,2", 12, 16, seed=4))
         assert np.array_equal(xs, grid)
         options = read_json(out + ".manifest.json")["options"]
-        assert (options["xmin"], options["xmax"]) == (grid[0], grid[-1])
+        assert options["xmax"] is None and options["points"] == len(grid) == 182
+        assert "xmin" not in options
 
-    def test_xmax_zero_is_used(self, tmp_path):
-        # only a missing --xmax means the default; 0 is a value
-        out = str(tmp_path / "density.csv")
+    def test_xmax_zero_is_refused(self, tmp_path, monkeypatch, capsys):
+        # only a missing --xmax means the default; 0 is a value, and a grid
+        # on (0, 0] has no point
+        monkeypatch.chdir(tmp_path)
         assert run_cli(["density", "--profile", "ones", "--n", "8", "--N", "8",
-                        "--xmax", "0", "--eta", "2e-2", "-o", out]) == 0
-        xs = np.loadtxt(out, delimiter=",", skiprows=1, usecols=0)
-        assert xs[-1] == 0.0
-        assert read_json(out + ".manifest.json")["options"]["xmax"] == 0.0
+                        "--xmax", "0", "--eta", "2e-2"]) == 1
+        assert "ValueError: xmax must be finite and positive, got 0.0" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_xmin_is_refused(self, tmp_path, monkeypatch, capsys):
+        # the grid starts above 0 by construction; --xmin is no option
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["density", "--profile", "ones", "--n", "8", "--N", "8", "--xmin", "-0.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --xmin" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_grid_cutting_the_support_books_no_atom(self, tmp_path, capsys):
         # the grid ends at 2, short of the edge at 4: the mass above 2 is
-        # missing from the total, not booked as an atom at 0
+        # missing from the total, and the atom at 0 is measured, not a deficit
         out = str(tmp_path / "density.csv")
         assert run_cli(["density", "--profile", "ones", "--n", "64", "--N", "64",
                         "--xmax", "2", "-o", out]) == 0
         stdout = capsys.readouterr().out
         assert stdout.endswith(", atom 0.000000)\n")
         mass = float(stdout.split("(mass ")[1].split(",")[0])
-        assert mass == pytest.approx(0.8187, abs=1e-3)
+        # the last midpoint is (sqrt(2) 181.5 / 182)^2 = 1.989, where the law holds 0.8166
+        x_last = np.loadtxt(out, delimiter=",", skiprows=1, usecols=0)[-1]
+        assert mass == pytest.approx(mp_cdf_c1(x_last), abs=1e-4)
         manifest = read_json(out + ".manifest.json")
         assert manifest["options"]["total_mass"] < 0.82
-        assert manifest["options"]["atom_at_zero"] == 0.0
+        assert manifest["options"]["atom_at_zero"] < 1e-6
 
     def test_unread_generator_argument_refused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -157,19 +184,27 @@ class TestDensityCommand:
         assert "ValueError: profile generator 'constant:1,5'" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("flag", [["--xmin", "nan"], ["--xmax", "inf"]])
+    @pytest.mark.parametrize("flag", [["--xmax", "nan"], ["--xmax", "inf"]])
     def test_nonfinite_grid_refused(self, tmp_path, monkeypatch, capsys, flag):
         monkeypatch.chdir(tmp_path)
         assert run_cli(["density", "--profile", "iid_uniform:0,2", "--n", "8", "--N", "8"]
                        + flag) == 1
-        assert "ValueError: need finite lo < hi" in capsys.readouterr().err
+        assert "ValueError: xmax must be finite and positive" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_more_block_levels_than_rows_refused(self, tmp_path, monkeypatch, capsys):
+        # array_split once gave the third level an empty band: block:1,2 in disguise
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["density", "--profile", "block:1,2,3", "--n", "2", "--N", "4"]) == 1
+        assert "ValueError: profile generator 'block:1,2,3': 3 levels for 2 rows" in \
+            capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_byte_identical_reruns(self, tmp_path):
         a = str(tmp_path / "a.csv")
         b = str(tmp_path / "b.csv")
         args = ["density", "--profile", "ones", "--n", "16", "--N", "16",
-                "--xmin", "-0.5", "--xmax", "4.5", "--points", "31",
+                "--xmax", "4.5", "--points", "31",
                 "--eta", "2e-2,1e-2"]
         run_cli(args + ["-o", a])
         run_cli(args + ["-o", b])
@@ -307,7 +342,7 @@ EVERY_OPTION = {
     "solve": ["--profile", "iid_uniform:0,2", "--n", "4", "--N", "5", "--seed", "2",
               "--tol", "1e-11", "--max-iter", "500", "--z", "0.5+0.5i", "-o", "s.csv"],
     "density": ["--profile", "iid_uniform:0,2", "--n", "6", "--N", "6", "--seed", "2",
-                "--tol", "1e-11", "--max-iter", "2000", "--xmin", "-0.5", "--xmax", "4",
+                "--tol", "1e-11", "--max-iter", "2000", "--xmax", "4",
                 "--points", "21", "--eta", "2e-2", "-o", "d.csv"],
     "simulate": ["--profile", "iid_uniform:0,2", "--n", "6", "--N", "6", "--seed", "2",
                  "--family", "gaussian", "--trials", "1", "--complex", "--pipeline-eta", "0.5",
@@ -459,10 +494,9 @@ class TestCompareManifest:
         assert cells["24x24"]["curve_reused_from"] == "16x16"   # a constant sweep inverts once
         for rec in cells.values():
             assert all(rec[k] >= 0 for k in ("plan_s", "invert_s", "simulate_s", "compare_s"))
-        # each size's curve mass below 0, a floor under the KS of its rows
-        assert cells["16x16"]["negative_mass"] == cells["24x24"]["negative_mass"] > 0.0
-        rows = read_text(a + ".csv").strip().splitlines()[1:]
-        assert all(float(r.split(",")[5]) >= cells["16x16"]["negative_mass"] - 1e-12 for r in rows)
+        # each size's measured atom at 0: a square constant profile has none
+        assert cells["16x16"]["atom_at_zero"] == cells["24x24"]["atom_at_zero"] < 1e-6
+        assert all("negative_mass" not in rec for rec in cells.values())
 
 
 def config_matches_flags(tmp_path, command, keys, payload):
@@ -484,7 +518,7 @@ def config_matches_flags(tmp_path, command, keys, payload):
 class TestConfigAndEnv:
     def test_density_config_equals_flags(self, tmp_path):
         keys = {"profile": "iid_uniform:0,2", "n": "12", "N": "16", "seed": "5",
-                "tol": "1e-11", "max_iter": "5000", "xmin": "-0.4", "xmax": "5.0",
+                "tol": "1e-11", "max_iter": "5000", "xmax": "5.0",
                 "points": "31", "eta": "2e-2,1e-2"}
         flags, config = config_matches_flags(tmp_path, "density", keys, lambda out: out)
         assert flags == config

@@ -186,7 +186,7 @@ class TestEmpiricalDistribution:
 
 class TestDensityCurve:
     def test_invariants_enforced(self):
-        xs = np.array([0.0, 1.0])
+        xs = np.array([0.25, 1.0])
         with pytest.raises(ValueError):
             DensityCurve(xs=xs, density=np.array([-1.0, 0.0]), cdf=np.array([0.0, 1.0]),
                          eta_used=(1e-2,))
@@ -194,30 +194,28 @@ class TestDensityCurve:
             DensityCurve(xs=xs, density=np.array([1.0, 0.0]), cdf=np.array([1.0, 0.0]),
                          eta_used=(1e-2,))
 
-    def test_cdf_interp_clamps(self):
-        c = DensityCurve(xs=np.array([0.0, 1.0]), density=np.array([1.0, 1.0]),
-                         cdf=np.array([0.0, 1.0]), eta_used=(1e-2,))
-        assert c.cdf_at(-5.0) == 0.0
-        assert c.cdf_at(5.0) == 1.0
-        assert c.cdf_at(0.5) == pytest.approx(0.5)
-        assert not c.partial
-
     def test_negative_mass(self):
-        # mass 0.25 on [-1, 0), then an atom of 0.5 at 0 and 0.25 on (0, 1]
-        xs = np.array([-1.0, -0.5, 0.0, 1.0])
-        c = DensityCurve(xs=xs, density=np.array([0.0, 0.5, 0.5, 0.0]),
-                         cdf=np.array([0.0, 0.125, 0.75, 1.0]), eta_used=(1e-2,),
-                         atom_at_zero=0.5)
-        assert c.negative_mass == 0.25
-        # 0 between grid points: the CDF is interpolated there, the atom left out
-        c = DensityCurve(xs=np.array([-1.0, 1.0]), density=np.array([0.0, 0.0]),
-                         cdf=np.array([0.1, 0.9]), eta_used=(1e-2,), atom_at_zero=0.6)
-        assert c.negative_mass == pytest.approx(0.2)
-        # a grid from 0 up puts no mass below 0, atom or not
-        for lo, atom in [(0.0, 0.0), (0.0, 0.3), (0.5, 0.0)]:
-            c = DensityCurve(xs=np.array([lo, 2.0]), density=np.array([1.0, 1.0]),
-                             cdf=np.array([atom, 1.0]), eta_used=(1e-2,), atom_at_zero=atom)
-            assert c.negative_mass == 0.0
+        # a curve holds no mass below 0 by construction: its grid points
+        # are positive, and cdf_at is 0 below 0 and the atom at 0
+        for xs in ([0.0, 1.0], [-0.5, 1.0]):
+            with pytest.raises(ValueError, match="xs must be positive and strictly ascending"):
+                DensityCurve(xs=np.array(xs), density=np.array([1.0, 1.0]),
+                             cdf=np.array([0.0, 1.0]), eta_used=(1e-2,))
+        c = DensityCurve(xs=np.array([1e-8, 1.0]), density=np.array([1.0, 1.0]),
+                         cdf=np.array([0.5, 1.0]), eta_used=(1e-2,), atom_at_zero=0.5)
+        assert c.cdf_at(-1e-300) == 0.0 and c.cdf_at(0.0) == 0.5
+
+    def test_cdf_interp_clamps(self):
+        # linear in sqrt(x) from (0, atom_at_zero); 0 below 0, flat past the grid
+        c = DensityCurve(xs=np.array([0.25, 1.0]), density=np.array([1.0, 1.0]),
+                         cdf=np.array([0.5, 1.0]), eta_used=(1e-2,), atom_at_zero=0.25)
+        assert c.cdf_at(-5.0) == 0.0
+        assert c.cdf_at(0.0) == 0.25
+        assert c.cdf_at(0.0625) == pytest.approx(0.375)   # s = 0.25, halfway to s = 0.5
+        assert c.cdf_at(0.5625) == pytest.approx(0.75)    # s = 0.75
+        assert c.cdf_at(5.0) == 1.0
+        assert np.array_equal(c.cdf_at([-1.0, 0.25, 1.0]), [0.0, 0.5, 1.0])
+        assert not c.partial
 
 
 def _empirical():
@@ -226,7 +224,7 @@ def _empirical():
 
 
 def _curve():
-    arrays = {"xs": np.array([0.0, 1.0]), "density": np.array([1.0, 1.0]),
+    arrays = {"xs": np.array([0.5, 1.0]), "density": np.array([1.0, 1.0]),
               "cdf": np.array([0.0, 1.0])}
     return DensityCurve(eta_used=(1e-2,), **arrays), arrays
 
@@ -238,7 +236,7 @@ def _solution():
 
 
 def _inversion_config():
-    grid = np.linspace(-1.0, 1.0, 5)
+    grid = np.linspace(0.5, 2.5, 5)
     return InversionConfig(x_grid=grid), {"x_grid": grid}
 
 

@@ -61,10 +61,25 @@ class TestMakeProfile:
         profile = make_profile(spec, 8, 8)
         assert (profile.n, profile.N) == (8, 8)
 
+    @pytest.mark.parametrize("spec, n, N", [("spiked:-1", 4, 4), ("spiked:100,9", 4, 4),
+                                            ("spiked:17,9", 4, 4), ("block:1,2,3", 2, 4),
+                                            ("block", 1, 4)])
+    def test_refuses_what_the_shape_cannot_hold(self, spec, n, N):
+        # spiked:100,9 on 4x4 once planted 16 spikes, spiked:-1 failed in
+        # numpy, and block:1,2,3 on 2 rows was block:1,2
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            make_profile(spec, n, N)
+
+    def test_extreme_counts_that_fit(self):
+        assert make_profile("spiked:0,9", 4, 4).max_entry < 9.0
+        assert (make_profile("spiked:16,9", 4, 4).entries == 9.0).all()
+        assert np.array_equal(make_profile("block:1,2,3", 3, 2).entries[:, 0], [1.0, 2.0, 3.0])
+
     def test_default_grid_covers_spectrum(self):
+        # from just above the hard edge at 0 to past the soft edge at 4
         p = make_profile("ones", 16, 16)
         g = default_x_grid(p)
-        assert g[0] < 0 < 4 < g[-1]
+        assert 0 < g[0] < 1e-3 and 4 < g[-1]
 
 
 class TestExperimentSpec:

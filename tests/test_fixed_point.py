@@ -617,7 +617,7 @@ class TestCollatzWielandtBound:
     """_certify's one-product bound against the full-matrix power iteration."""
 
     # every level of the default schedule, then 1e-4
-    ETAS = InversionConfig(x_grid=np.linspace(0.0, 1.0, 5)).eta_sequence + (1e-4,)
+    ETAS = InversionConfig(x_grid=np.linspace(0.25, 1.0, 4)).eta_sequence + (1e-4,)
 
     @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
     def test_certifies_the_oracle_points(self, name, request):

@@ -13,7 +13,7 @@ from hadspec import (
 from hadspec import EntrySampler, empirical_spectrum, make_profile, validate_profile
 from hadspec.experiments import default_x_grid
 from hadspec.metrics import I_MAX, TAIL_BOUND, TestIntegrals
-from hadspec.stieltjes import InversionConfig, density_curve, edge_refined_grid
+from hadspec.stieltjes import InversionConfig, density_curve
 
 from _oracles import (
     d_metric_reference,
@@ -74,15 +74,19 @@ class TestTestFunction:
         assert integrate_test_function(delta(mid), tf) == pytest.approx(1 / (2 * m))
 
     def test_curve_integration_includes_atom(self):
-        xs = np.linspace(-0.5, 1.5, 401)
-        dens = np.where((xs >= 0) & (xs <= 1), 1.0, 0.0)
-        cdf = np.clip(xs, 0, 1) * 0.5 + 0.5 * (xs >= 0)
+        xs = (np.sqrt(1.5) * (np.arange(400) + 0.5) / 400) ** 2
+        dens = np.where(xs <= 1, 1.0, 0.0)
+        cdf = np.clip(xs, 0, 1) * 0.5 + 0.5
         curve = DensityCurve(xs=xs, density=dens * 0.5, cdf=cdf,
                              eta_used=(1e-2,), atom_at_zero=0.5)
         tf = TestFunctionIndex(i=1, m=1, a=Fraction(-1), b=Fraction(2))
         # plateau covers everything: the atom contributes tf(0) * mass on
-        # top of the trapezoid integral of the density part
-        expected = np.trapezoid(tf(xs) * curve.density, xs) + 0.5 * tf(0.0)
+        # top of the trapezoid integral in s = sqrt(x) of 2 tf(s^2) rho_s,
+        # rho_s = density s held at its first value on [0, s_1]
+        s = np.sqrt(xs)
+        rho = curve.density * s
+        y = 2.0 * tf(np.r_[0.0, xs]) * np.r_[rho[0], rho]
+        expected = np.trapezoid(y, np.r_[0.0, s]) + 0.5 * tf(0.0)
         got = integrate_test_function(curve, tf)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(1.0, abs=5e-3)
@@ -140,13 +144,14 @@ class TestDMetric:
 
 
 def _mp_curve(atom: float) -> DensityCurve:
-    # Marchenko-Pastur c = 1 density scaled to mass 1 - atom, plus an atom at 0
-    xs = np.concatenate([np.linspace(-0.5, 0.0, 11)[:-1], np.linspace(0.0, 4.5, 232)])
-    dens = (1.0 - atom) * np.array([mp_density_c1(x) if x > 0 else 0.0 for x in xs])
-    dens[xs == 0.0] = dens[xs > 0][0]
-    cdf = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (dens[1:] + dens[:-1]) / 2.0)])
-    return DensityCurve(xs=xs, density=dens, cdf=cdf + atom * (xs >= 0.0),
-                        eta_used=(1e-2,), atom_at_zero=atom)
+    # Marchenko-Pastur c = 1 density scaled to mass 1 - atom, plus an atom at 0,
+    # on 242 points uniform in s = sqrt(x)
+    xs = (np.sqrt(4.5) * (np.arange(242) + 0.5) / 242) ** 2
+    dens = (1.0 - atom) * np.array([mp_density_c1(x) for x in xs])
+    y = 2.0 * dens * np.sqrt(xs)
+    y = np.r_[y[0], y]
+    cdf = atom + np.cumsum(np.diff(np.sqrt(np.r_[0.0, xs])) * (y[1:] + y[:-1]) / 2.0)
+    return DensityCurve(xs=xs, density=dens, cdf=cdf, eta_used=(1e-2,), atom_at_zero=atom)
 
 
 class TestDMetricMatchesPerFunctionLoop:
@@ -167,9 +172,9 @@ class TestDMetricMatchesPerFunctionLoop:
             d_metric([0.0, 1.0], delta(0.0))
 
 
-ONES_GRID = edge_refined_grid(-0.5, 4.5, n_uniform=41, n_edge=10)
-# grid points left uncertified: three inside the spike at 0, then every
-# point from x = 0.0625 to 3.875, so one step spans x = 0.04 to 4.0
+ONES_GRID = default_x_grid(validate_profile(np.ones((16, 16))), 4.5, 59)
+# grid points left uncertified: three near the hard edge at 0, then every
+# point from x = 0.24 to 3.7, so one step spans x = 0.18 to 3.8
 ONES_GAPS = ONES_GRID[np.r_[12:15, 18:54]]
 
 
@@ -186,7 +191,7 @@ class TestCurveIntegrals:
     def test_partial_curve_adds_nothing_across_gaps(self, ones_curves):
         curve, full = ones_curves
         kept = ~np.isin(ONES_GRID, ONES_GAPS)
-        kept_mass = np.diff(full.cdf)[kept[1:] & kept[:-1]].sum()
+        kept_mass = full.cdf[0] + np.diff(full.cdf)[kept[1:] & kept[:-1]].sum()
         assert curve.partial and curve.total_mass == pytest.approx(kept_mass, rel=1e-12)
         # every test function is at most 1: no integral exceeds the curve's
         # mass (test function 2 once gave 3.252 by spanning the gaps)
@@ -221,7 +226,7 @@ class TestKSDistance:
     def test_empirical_vs_interpolating_curve(self):
         atoms = np.linspace(0.05, 0.95, 10)
         F = EmpiricalDistribution(atoms)
-        xs = np.linspace(-0.2, 1.2, 201)
+        xs = np.linspace(0.0, 1.2, 201)[1:]
         curve = DensityCurve(xs=xs, density=np.zeros_like(xs), cdf=F.cdf(xs),
                              eta_used=(1e-2,))
         # interpolation bound: largest cdf increment between grid nodes
@@ -231,12 +236,28 @@ class TestKSDistance:
     @pytest.mark.parametrize("gen,n,N", [("constant", 48, 48), ("iid_uniform:0,2", 48, 48),
                                          ("block:0.5,1.5", 48, 48), ("iid_uniform:0,2", 64, 32)])
     def test_negative_mass_is_a_floor(self, gen, n, N):
-        # B has no eigenvalue below 0 (up to rounding), so no spectrum is
-        # closer to a curve than the curve's mass on x < 0
+        # the curve has no mass below 0, so a spectrum's mass there, and its
+        # mismatch with the curve's atom at 0, are floors under their KS
         profile = make_profile(gen, n, N, seed=5)
         curve = density_curve(profile, InversionConfig(x_grid=default_x_grid(profile)))
+        assert curve.cdf_at(-1e-300) == 0.0
         for spectrum in empirical_spectrum(profile, EntrySampler("gaussian"), trials=3, seed=9):
-            assert ks_distance(spectrum, curve) >= curve.negative_mass - 1e-12
+            floor = max(spectrum.cdf_left(0.0), abs(spectrum.cdf(0.0) - curve.atom_at_zero))
+            assert floor < 1e-6
+            assert ks_distance(spectrum, curve) >= floor - 1e-12
+
+    def test_left_limits_at_the_atom(self):
+        # atom 0.5 at 0 and mass 0.5 uniform on (0, 1]: a spectrum half of
+        # exact zeros matches both sides of the jump; comparing its left
+        # limit 0 with the curve's value 0.5 at 0 would read KS 0.5
+        xs = (np.arange(2000) + 0.5) / 2000
+        curve = DensityCurve(xs=xs, density=np.full_like(xs, 0.5), cdf=0.5 + 0.5 * xs,
+                             eta_used=(1e-2,), atom_at_zero=0.5)
+        half = EmpiricalDistribution(np.r_[np.zeros(100), (np.arange(100) + 0.5) / 100])
+        assert ks_distance(half, curve) <= 0.006
+        # a spectrum with no zero misses the whole jump, which 0 need not be an atom to show
+        none = EmpiricalDistribution((np.arange(100) + 0.5) / 100)
+        assert ks_distance(none, curve) >= 0.5
 
 
 class TestWassersteinBound:

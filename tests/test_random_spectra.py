@@ -12,7 +12,8 @@ from hadspec import (
     truncate_center_rescale,
     validate_profile,
 )
-from hadspec.random_spectra import truncated_moments
+from hadspec.experiments import make_profile
+from hadspec.random_spectra import _draw, truncated_moments
 
 from _oracles import (
     sample_matrix,
@@ -230,6 +231,29 @@ class TestEmpiricalSpectrum:
         # substreams hash (master, index), not the call sequence
         lone = empirical_spectrum(rand_profile, s, trials=3, seed=12)[2]
         assert np.array_equal(full[2].atoms, lone.atoms)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_tall_spectrum_holds_exact_zeros(self, complex_entries):
+        # n > N: eigvalsh(B) returns B's null space as +-1e-16 (129 of the 256
+        # on ones 512x256 came out negative); the spectrum holds n - N exact
+        # zeros and the eigenvalues of the N x N companion
+        profile = make_profile("iid_uniform:0,2", 48, 20, seed=1)
+        sampler = EntrySampler("gaussian", complex_entries)
+        (dist,) = empirical_spectrum(profile, sampler, trials=1, seed=3)
+        assert np.count_nonzero(dist.atoms == 0.0) == 28 and np.all(dist.atoms[:28] == 0.0)
+        X = _draw(np.random.default_rng(np.random.SeedSequence([3, 0])), 48, 20, sampler)
+        full = hermitian_eigenvalues(build_B(profile, X))
+        np.testing.assert_allclose(dist.atoms[28:], full[28:], rtol=1e-12)
+
+    def test_tall_spectrum_below_rank_N_stays_ascending(self):
+        # 3 zero rows of 10 leave Y*Y (8 x 8) rank 7: its null direction
+        # comes out of eigvalsh as -5.1e-17 on this draw, below the n - N zeros
+        entries = np.ones((10, 8))
+        entries[:3] = 0.0
+        (dist,) = empirical_spectrum(validate_profile(entries), EntrySampler("gaussian"),
+                                     trials=1, seed=0)
+        assert np.all(np.diff(dist.atoms) >= 0.0)
+        assert np.count_nonzero(np.abs(dist.atoms) < 1e-12) == 3
 
     def test_mp_edge_range_at_desk_scale(self):
         p = validate_profile(np.ones((256, 256)))

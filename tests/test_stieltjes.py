@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hadspec import InversionConfig, SolverConfig, edge_refined_grid, make_profile, validate_profile
+from hadspec import InversionConfig, SolverConfig, make_profile, validate_profile
 from hadspec.stieltjes import (
     MassCheckReport,
     QuadratureStallError,
@@ -14,13 +14,13 @@ from hadspec.fixed_point import batch_G, solve_batch
 from hadspec import stieltjes
 from hadspec.experiments import default_x_grid
 
-from _oracles import cdf_interval_quad, mp_density_c1, mp_cdf_c1
+from _oracles import cdf_interval_quad, mp_density_c1, mp_cdf_c1, one_column_law
 
 
-# gaps by index into the 59-point grid edge_refined_grid(-0.5, 4.5, 41, 10),
-# keyed by the budget of map applications that once left them on ones 16x16:
-# one wide gap; the gap beside the spike at 0 from x = 0.04 to 4.0, after
-# one inside the spike; one gap from 0.25 to 4.0; and five narrow ones
+# gaps by index into the 59-point grid ONES_GRID on ones 16x16: one wide
+# gap from x = 0.14 to 4.0; one from 0.18 to 3.8 after a narrow one; one
+# from 0.8 to 3.8; and five narrow ones
+ONES_GRID = default_x_grid(validate_profile(np.ones((16, 16))), 4.5, 59)
 GAPS = {
     "6": np.r_[10:55],
     "7": np.r_[12:15, 18:54],
@@ -29,19 +29,18 @@ GAPS = {
 }
 
 
-def _default_grid(generator, n, N, lo=None, hi=None):
+def _default_grid(generator, n, N, hi=None, points=182):
     profile = make_profile(generator, n, N, seed=1)
-    return profile, default_x_grid(profile, lo, hi)
+    return profile, default_x_grid(profile, hi, points)
 
 
-# (profile, grid) builders: four grids that cut the support, then the
-# default grids of a square, a tall and a wide shape
+# (profile, grid) builders: three grids that cut the support and a coarse
+# one, then the default grids of a square, a tall and a wide shape
 MASS_CASES = {
     "ones_64x64_xmax_2": lambda: _default_grid("ones", 64, 64, hi=2.0),
-    "ones_8x8_xmax_0": lambda: _default_grid("ones", 8, 8, hi=0.0),
-    "constant_32x64_xmin_0.5": lambda: _default_grid("constant", 32, 64, lo=0.5),
-    "ones_32x16_unrefined": lambda: (validate_profile(np.ones((32, 16))), edge_refined_grid(
-        -0.5, 1.25 * (1 + np.sqrt(2)) ** 2 + 0.5, n_uniform=141, n_edge=0)),
+    "ones_8x8_xmax_0.5": lambda: _default_grid("ones", 8, 8, hi=0.5),
+    "ones_32x16_xmax_2": lambda: _default_grid("ones", 32, 16, hi=2.0),
+    "constant_32x64_points_7": lambda: _default_grid("constant", 32, 64, points=7),
     "iid_uniform_16x16": lambda: _default_grid("iid_uniform:0,2", 16, 16),
     "constant_32x16": lambda: _default_grid("constant", 32, 16),
     "block_16x32": lambda: _default_grid("block:0.5,1.5", 16, 32),
@@ -50,8 +49,7 @@ MASS_CASES = {
 
 @pytest.fixture(scope="module")
 def mp_curve(ones16):
-    grid = edge_refined_grid(-0.5, 5.2, n_uniform=141)
-    cfg = InversionConfig(x_grid=grid)
+    cfg = InversionConfig(x_grid=default_x_grid(ones16, 5.2, 141))
     curve, diag = density_curve(ones16, cfg, with_diagnostics=True)
     return curve, diag
 
@@ -76,11 +74,11 @@ class TestDensityCurve:
         assert np.all(curve.density >= 0)
         assert np.all(np.diff(curve.cdf) >= -1e-15)
         assert 0.995 <= curve.total_mass <= 1.005
-        assert curve.atom_at_zero == 0.0
+        assert curve.atom_at_zero < 1e-6
         assert not curve.partial
 
     def test_cdf_against_closed_form(self, mp_curve):
-        # eta-smoothed curve tracks the exact CDF within the hard-edge bias
+        # the curve inverted in sqrt(x) tracks the exact CDF up to the hard edge
         curve, _ = mp_curve
         exact = np.array([mp_cdf_c1(x) for x in curve.xs])
         assert np.max(np.abs(curve.cdf - exact)) <= 0.03
@@ -91,7 +89,7 @@ class TestDensityCurve:
         assert diag.rho_max < 1.0
 
     def test_per_level_diagnostics(self, rand_profile, uncertify):
-        cfg = InversionConfig(x_grid=np.linspace(-0.5, 4.0, 31))
+        cfg = InversionConfig(x_grid=np.linspace(0.125, 4.0, 32)[1:])
         curve, diag = density_curve(rand_profile, cfg, with_diagnostics=True)
         assert tuple(lv.eta for lv in diag.levels) == cfg.eta_sequence
         assert diag.rho_max == max(lv.rho_max for lv in diag.levels) < 1.0
@@ -109,8 +107,8 @@ class TestDensityCurve:
         assert partial.failed_xs == tuple(xs[4:17])
         # one map application certifies nothing on a non-constant profile,
         # and each level spends exactly its budget on every point
-        _, ok, budget = stieltjes._sweep(rand_profile, xs, cfg.eta_sequence,
-                                         SolverConfig(max_iter=1))
+        _, ok, budget = stieltjes._sweep(rand_profile, lambda eta: (np.sqrt(xs) + 1j * eta) ** 2,
+                                         cfg.eta_sequence, SolverConfig(max_iter=1))
         assert not ok.any()
         assert all(lv.unconverged == 31 and lv.iterations == 31 for lv in budget)
 
@@ -119,7 +117,7 @@ class TestDensityCurve:
         # estimate unsettled, yet certified; the sweep's bound needs no
         # iteration, so the cap changes nothing
         import hadspec.fixed_point as fp
-        cfg = InversionConfig(x_grid=np.linspace(-0.5, 4.0, 31))
+        cfg = InversionConfig(x_grid=np.linspace(0.125, 4.0, 32)[1:])
         curve, diag = density_curve(rand_profile, cfg, with_diagnostics=True)
         monkeypatch.setattr(fp, "_POWER_CAP", 2)
         capped, capped_diag = density_curve(rand_profile, cfg, with_diagnostics=True)
@@ -130,48 +128,45 @@ class TestDensityCurve:
             (curve.eta_used, curve.atom_at_zero, curve.failed_xs)
 
     def test_scale_equivariance(self, rand_profile):
-        # rescaling weights by s maps x -> s^2 x, eta -> s^2 eta exactly
-        grid1 = edge_refined_grid(-0.3, 8.0, n_uniform=161)
+        # rescaling weights by s maps x -> s^2 x and eta, a height in sqrt(x), -> s eta
+        grid1 = default_x_grid(rand_profile, 8.0, 161)
         cfg1 = InversionConfig(x_grid=grid1)
         c1 = density_curve(rand_profile, cfg1)
         s = 2.0
         cfg2 = InversionConfig(x_grid=grid1 * s**2,
-                               eta_sequence=tuple(e * s**2 for e in cfg1.eta_sequence))
+                               eta_sequence=tuple(e * s for e in cfg1.eta_sequence))
         c2 = density_curve(validate_profile(rand_profile.entries * s), cfg2)
         assert np.max(np.abs(c2.density - c1.density / s**2)) <= 1e-8
         assert c2.total_mass == pytest.approx(c1.total_mass, abs=1e-8)
 
-    def test_unresolved_spike_at_zero_is_missing_mass_when_n_exceeds_N(self):
-        # n = 2N: half the eigenvalues of B are exactly zero, so the
-        # equivalent carries mass 1/2 at the origin.  A grid too coarse to
-        # resolve the eta-width spike books no atom: the spike's mass is
-        # missing from the total.  An edge-refined grid integrates the
-        # resolved spike and conserves total mass.
-        p = validate_profile(np.ones((32, 16)))
-        hi = 1.25 * (1 + np.sqrt(2)) ** 2 + 0.5
-        coarse = density_curve(p, InversionConfig(x_grid=edge_refined_grid(
-            -0.5, hi, n_uniform=141, n_edge=0)))
-        # trapezoid cells adjacent to 0 still skim a sliver of the spike,
-        # so the mass sits slightly above the continuous part's 1/2
-        assert coarse.atom_at_zero == 0.0
-        assert 0.49 <= coarse.total_mass <= 0.52
-        refined = density_curve(p, InversionConfig(x_grid=edge_refined_grid(
-            -0.5, hi, n_uniform=141)))
-        assert 0.99 <= refined.total_mass <= 1.01
+    @pytest.mark.parametrize("n, N", [(32, 16), (64, 32), (24, 8)])
+    def test_atom_booked_when_n_exceeds_N(self, n, N):
+        # n > N: n - N eigenvalues of B are exactly zero, so the law carries
+        # mass 1 - N/n at the origin; the curve books it as the CDF's jump at 0
+        p = validate_profile(np.ones((n, N)))
+        curve = density_curve(p, InversionConfig(x_grid=default_x_grid(p)))
+        assert abs(curve.atom_at_zero - (1.0 - N / n)) <= 1e-6
+        assert curve.cdf_at(0.0) == curve.atom_at_zero
+        assert curve.cdf_at(-1e-300) == 0.0
+        assert abs(curve.total_mass - 1.0) <= 1e-3
 
     @pytest.mark.parametrize("case", list(MASS_CASES))
     def test_total_mass_is_what_the_grid_integrates(self, case):
-        # no mass the grid misses, off its ends or in an unresolved spike at
-        # 0, is booked as an atom; the first four grids cut the support
+        # the atom is measured, never the mass the grid misses past its end:
+        # the total is the atom plus the trapezoid rule in s of 2 rho_s,
+        # rho_s held at its first value on [0, s_1]
         profile, grid = MASS_CASES[case]()
         curve = density_curve(profile, InversionConfig(x_grid=grid))
         assert not curve.partial
-        assert curve.atom_at_zero == 0.0
-        assert curve.total_mass == pytest.approx(np.trapezoid(curve.density, curve.xs),
-                                                 rel=1e-12)
+        want_atom = max(0.0, 1.0 - profile.N / profile.n)
+        assert abs(curve.atom_at_zero - want_atom) <= 1e-6
+        s = np.sqrt(curve.xs)
+        y = 2.0 * curve.density * s
+        grid_mass = np.trapezoid(np.r_[y[0], y], np.r_[0.0, s])
+        assert curve.total_mass == pytest.approx(curve.atom_at_zero + grid_mass, rel=1e-12)
 
     def test_partial_curve_records_gaps(self, ones16, uncertify):
-        cfg = InversionConfig(x_grid=np.linspace(-1.0, 5.0, 25), eta_sequence=(0.5, 0.25))
+        cfg = InversionConfig(x_grid=np.linspace(0.2, 5.0, 25), eta_sequence=(0.5, 0.25))
         xs = cfg.x_grid
         uncertify({0.5: xs[[3, 9, 10]], 0.25: xs[[10, 17, 18, 20]]})
         curve = density_curve(ones16, cfg)
@@ -181,25 +176,23 @@ class TestDensityCurve:
 
     def test_partial_curve_books_no_atom(self, uncertify):
         # c = 1: no atom.  With 45 of 59 points uncertified the trapezoids
-        # left hold 0.003 of mass; the lost mass must stay missing, not be
+        # left hold 0.25 of mass; the lost mass must stay missing, not be
         # booked as an atom at zero
         ones = validate_profile(np.ones((16, 16)))
-        grid = edge_refined_grid(-0.5, 4.5, n_uniform=41, n_edge=10)
-        uncertify({5e-3: grid[GAPS["6"]]})
-        curve = density_curve(ones, InversionConfig(x_grid=grid))
-        assert len(grid) == 59 and len(curve.failed_xs) == 45
+        uncertify({5e-3: ONES_GRID[GAPS["6"]]})
+        curve = density_curve(ones, InversionConfig(x_grid=ONES_GRID))
+        assert len(ONES_GRID) == 59 and len(curve.failed_xs) == 45
         assert curve.partial
-        assert curve.atom_at_zero == 0.0
+        assert curve.atom_at_zero < 1e-6
         assert curve.total_mass < 0.5
 
     @pytest.mark.parametrize("gaps", list(GAPS))
     def test_partial_curve_adds_no_mass_across_gaps(self, gaps, uncertify):
-        # trapezoids across these gaps once gave masses 0.106, 3.258, 1.483
-        # and 1.0087, beside the full curve's 1.0077: one step beside the
-        # spike at 0 spanned x = 0.04 to 4.0.  The gaps are split between
-        # the two levels the curve uses
+        # a trapezoid across a gap would join its two ends: in x, one step
+        # beside the spike at 0 once spanned x = 0.04 to 4.0 and the mass
+        # came to 3.258.  The gaps are split between the two levels the curve uses
         ones = validate_profile(np.ones((16, 16)))
-        cfg = InversionConfig(x_grid=edge_refined_grid(-0.5, 4.5, n_uniform=41, n_edge=10))
+        cfg = InversionConfig(x_grid=ONES_GRID)
         full = density_curve(ones, cfg)
         gap = cfg.x_grid[GAPS[gaps]]
         uncertify({5e-3: gap[::2], 2.5e-3: gap[1::2]})
@@ -210,15 +203,15 @@ class TestDensityCurve:
         across = np.diff(np.searchsorted(cfg.x_grid, curve.xs)) > 1
         assert across.any()
         assert np.all(np.diff(curve.cdf)[across] == 0.0)
-        # every other trapezoid is the full curve's
+        # every other trapezoid, the first from s = 0 included, is the full curve's
         kept = ~np.isin(cfg.x_grid, gap)
         assert curve.total_mass == pytest.approx(
-            np.diff(full.cdf)[kept[1:] & kept[:-1]].sum(), rel=1e-12)
+            full.cdf[0] + np.diff(full.cdf)[kept[1:] & kept[:-1]].sum(), rel=1e-12)
 
     def test_default_grid_column_iterations(self):
-        # 242 points x 3 eta levels at rho(C0) ~ 0.998: an iteration that
-        # needs ~1/(1 - rho) map applications per point spends about 358 000
-        # column-iterations here; Anderson mixing needs tens per point
+        # 182 points x 3 eta levels at rho(C0) ~ 0.998: an iteration that
+        # needs ~1/(1 - rho) map applications per point spends hundreds of
+        # thousands of column-iterations here; Anderson mixing needs tens per point
         profile = make_profile("iid_uniform:0,2", 128, 128, seed=3)
         cfg = InversionConfig(x_grid=default_x_grid(profile))
         curve, diag = density_curve(profile, cfg, with_diagnostics=True)
@@ -238,44 +231,120 @@ class TestDensityCurve:
     def test_large_weights_no_failed_points_no_atom(self):
         # constant:30 at c = 0.6 has no atom.  At the default etas its large
         # weights put rho(C0) so close to 1 that a ~1/(1 - rho) iteration
-        # leaves 105 of 242 points unconverged, and their deficit once
+        # once left 105 of 242 points unconverged, and their deficit once
         # became a false atom of 0.9999
         profile = make_profile("constant:30", 6, 10)
         curve = density_curve(profile, InversionConfig(x_grid=default_x_grid(profile)))
         assert not curve.partial
-        assert curve.atom_at_zero == 0.0
+        assert curve.atom_at_zero < 1e-6
 
     @pytest.mark.parametrize("generator", ["constant", "iid_uniform:0,2"])
     def test_every_point_extrapolated(self, generator):
         # one eta -> 0 rule at every grid point, inside the support and out;
-        # Im G from a sweep of its own down the default schedule
+        # Im[w G(w^2) + a/w] at w = sqrt(x) + i eta from a sweep of its own
+        # down the default schedule
         profile = make_profile(generator, 48, 48, seed=5)
         xs = default_x_grid(profile)
         curve = density_curve(profile, InversionConfig(x_grid=xs))
         assert not curve.partial
         e_red, im = None, []
         for eta in stieltjes.DEFAULT_ETAS:
-            e_red, _, _ = solve_batch(profile, xs, eta, warm=e_red)
-            im.append(batch_G(profile, e_red, xs, eta).imag)
+            w = np.sqrt(xs) + 1j * eta
+            e_red, _, _ = solve_batch(profile, (w * w).real, (w * w).imag, warm=e_red)
+            im.append((w * batch_G(profile, e_red, (w * w).real, (w * w).imag)
+                       + curve.atom_at_zero / w).imag)
         want = np.maximum(stieltjes._richardson(stieltjes.DEFAULT_ETAS, np.array(im[-2:])), 0.0)
-        np.testing.assert_allclose(curve.density, want / np.pi, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(curve.density, want / np.pi / np.sqrt(xs), rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("generator, bound", [("constant", 0.0140),
-                                                  ("iid_uniform:0,2", 0.0125),
-                                                  ("block:0.5,1.5", 0.0205)])
-    def test_negative_mass_on_square_shapes(self, generator, bound):
-        # outside the support Im G is linear in eta, so the extrapolation
-        # removes the eta-tail below 0; keeping the finest level outside the
-        # support leaves 0.0213, 0.0195 and 0.0318
+    @pytest.mark.parametrize("generator", ["constant", "iid_uniform:0,2", "block:0.5,1.5"])
+    def test_no_mass_below_zero_on_square_shapes(self, generator):
+        # inverted in x, the eta-smoothed hard edge leaked 1.2-2% of the mass
+        # below 0; in sqrt(x) the curve is 0 there and its atom is measured as 0
         profile = make_profile(generator, 48, 48, seed=5)
         curve = density_curve(profile, InversionConfig(x_grid=default_x_grid(profile)))
-        assert curve.negative_mass <= bound
+        assert curve.xs[0] > 0.0 and curve.cdf_at(-1e-300) == 0.0
+        assert curve.atom_at_zero < 1e-6
 
     def test_all_failed_raises(self, rand_profile):
         # one map application certifies nothing on a non-constant profile
-        cfg = InversionConfig(x_grid=np.linspace(0.0, 4.0, 10), eta_sequence=(1e-2, 5e-3))
+        cfg = InversionConfig(x_grid=np.linspace(0.4, 4.0, 10), eta_sequence=(1e-2, 5e-3))
         with pytest.raises(QuadratureStallError):
             density_curve(rand_profile, cfg, SolverConfig(max_iter=1))
+
+
+class TestAtom:
+    """The atom at 0, measured from y Im G(iy) at two heights in units of mean(d^2)."""
+
+    @pytest.mark.parametrize("spec, n, N", [("ones", 64, 32), ("ones", 256, 128),
+                                            ("constant", 96, 32), ("iid_uniform:0,2", 48, 16),
+                                            ("iid_uniform:0,2", 256, 128)])
+    def test_tall_shapes_carry_one_minus_N_over_n(self, spec, n, N):
+        profile = make_profile(spec, n, N, seed=2)
+        assert abs(stieltjes._atom(profile, SolverConfig()) - (1.0 - N / n)) <= 1e-6
+
+    def test_independent_of_the_eta_schedule(self):
+        # at heights in sqrt(x) far below the default the atom is the same
+        profile = validate_profile(np.ones((64, 32)))
+        cfg = InversionConfig(x_grid=default_x_grid(profile), eta_sequence=(1e-5, 5e-6))
+        curve = density_curve(profile, cfg)
+        assert abs(curve.atom_at_zero - 0.5) <= 1e-6
+        assert abs(curve.total_mass - 1.0) <= 1e-3
+
+    @pytest.mark.parametrize("n, N, want", [(8, 8, 0.25), (10, 8, 0.2)])
+    def test_zero_rows(self, n, N, want):
+        # two zero rows of D are two zero rows of B: rank at most min(n - 2, N)
+        entries = np.ones((n, N))
+        entries[:2] = 0.0
+        assert abs(stieltjes._atom(validate_profile(entries), SolverConfig()) - want) <= 1e-6
+
+    @pytest.mark.parametrize("spec, n, N", [("ones", 32, 32), ("iid_uniform:0,2", 48, 48),
+                                            ("block:0.5,1.5", 128, 128), ("spiked:6,20", 64, 64),
+                                            ("block:0.5,1.5", 48, 96), ("iid_uniform:0,2", 20, 40),
+                                            ("constant:1e-3", 64, 64), ("constant:1", 64, 64),
+                                            ("constant:30", 64, 64)])
+    def test_none_on_square_and_wide_shapes(self, spec, n, N):
+        # a hard edge leaks C sqrt(y) into y Im G(iy), which the extrapolation
+        # in sqrt(y) cancels whatever the units of D
+        profile = make_profile(spec, n, N, seed=2)
+        assert 0.0 <= stieltjes._atom(profile, SolverConfig()) < 1e-6
+
+    def test_uncertified_atom_raises(self):
+        profile = make_profile("iid_uniform:0,2", 8, 8, seed=2)
+        with pytest.raises(QuadratureStallError, match="atom"):
+            stieltjes._atom(profile, SolverConfig(max_iter=2))
+
+
+def _ks_to_law(curve, law):
+    """Sup |curve - law| over x: both are linear in sqrt(x) between their nodes."""
+    edges, cdf = law
+    x = np.union1d(edges[1:] ** 2, curve.xs)
+    inside = np.abs(curve.cdf_at(x) - np.interp(np.sqrt(x), edges, cdf)).max()
+    return max(inside, abs(curve.atom_at_zero - cdf[0]))
+
+
+class TestExactLaw:
+    """density_curve against the exact law of one-column profiles (tests/_oracles)."""
+
+    def test_oracle_is_marchenko_pastur_at_c_1(self):
+        edges, cdf = one_column_law(validate_profile(np.ones((8, 8))))
+        assert abs(cdf[0]) <= 1e-6
+        want = np.array([mp_cdf_c1(x) for x in edges[::97] ** 2])
+        assert np.max(np.abs(cdf[::97] - want)) <= 1e-6
+
+    @pytest.mark.parametrize("spec", ["constant", "block:0.5,1.5"])
+    def test_oracle_atom_on_tall_shapes(self, spec):
+        assert abs(one_column_law(make_profile(spec, 96, 32))[1][0] - 2.0 / 3.0) <= 1e-6
+
+    # bounds just above the KS measured on the default grid and schedule;
+    # inverted in x these read 0.0134, 0.0199, 0.0006, 0.0054, 0.246, 0.246
+    @pytest.mark.parametrize("spec, n, N, bound", [
+        ("constant", 256, 256, 2.0e-4), ("block:0.5,1.5", 256, 256, 2.6e-4),
+        ("constant", 128, 256, 5.2e-4), ("block:0.5,1.5", 128, 256, 2.1e-3),
+        ("constant", 256, 128, 2.4e-4), ("block:0.5,1.5", 256, 128, 7.8e-4)])
+    def test_ks_to_the_exact_law(self, spec, n, N, bound):
+        profile = make_profile(spec, n, N)
+        curve = density_curve(profile, InversionConfig(x_grid=default_x_grid(profile)))
+        assert _ks_to_law(curve, one_column_law(profile)) <= bound
 
 
 class TestInversionConfig:
@@ -283,28 +352,38 @@ class TestInversionConfig:
         with pytest.raises(ValueError):
             InversionConfig(x_grid=np.array([]))
         with pytest.raises(ValueError):
-            InversionConfig(x_grid=np.array([0.0, 0.0]))
+            InversionConfig(x_grid=np.array([0.5, 0.5]))
         for etas in [(1e-3, 1e-2), (), (1e-2, 1e-2), (1e-2, np.nan), (np.inf, 1e-2), (1e-2, 0.0)]:
             with pytest.raises(ValueError):
-                InversionConfig(x_grid=np.array([0.0, 1.0]), eta_sequence=etas)
+                InversionConfig(x_grid=np.array([0.5, 1.0]), eta_sequence=etas)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_grid_refused(self, bad):
         # NaN passes the ascending test, and would spend the whole budget at every level
-        grid = np.append(edge_refined_grid(-0.5, 4.5, n_uniform=41, n_edge=10), bad)
-        with pytest.raises(ValueError, match="x_grid must be finite"):
+        grid = np.append(ONES_GRID, bad)
+        with pytest.raises(ValueError, match="x_grid must be finite and positive"):
             InversionConfig(x_grid=grid)
-        for lo, hi in ((bad, 4.5), (-0.5, bad)):
-            with pytest.raises(ValueError, match="need finite lo < hi"):
-                edge_refined_grid(lo, hi)
+        with pytest.raises(ValueError, match="xmax must be finite and positive"):
+            default_x_grid(validate_profile(np.ones((4, 4))), bad)
 
-    def test_edge_refined_grid(self):
-        g = edge_refined_grid(-0.5, 4.5, n_uniform=51, n_edge=20)
-        assert np.all(np.diff(g) > 0)
-        assert g[0] == -0.5 and g[-1] == 4.5
-        assert 0.0 in g
-        near = g[np.abs(g) < 0.05]
-        assert len(near) > 5  # refinement concentrates points at the edge
+    @pytest.mark.parametrize("x0", [0.0, -0.5])
+    def test_grid_at_or_below_zero_refused(self, x0):
+        # the law has no density below 0, and its atom at 0 is measured apart
+        with pytest.raises(ValueError, match="x_grid must be finite and positive"):
+            InversionConfig(x_grid=np.r_[x0, ONES_GRID])
+
+    def test_default_x_grid_is_uniform_in_sqrt_x(self):
+        # midpoints x_k = (sqrt(hi) (k + 1/2) / P)^2: every point lies at x > 0
+        profile = validate_profile(np.ones((32, 16)))
+        hi = 1.25 * (1.0 + np.sqrt(2.0)) ** 2 + 0.1
+        g = default_x_grid(profile)
+        assert len(g) == 182 and g[0] > 0.0 and g[-1] < hi
+        np.testing.assert_allclose(np.sqrt(g), np.sqrt(hi) * (np.arange(182) + 0.5) / 182,
+                                   rtol=1e-15)
+        assert np.array_equal(default_x_grid(profile, 4.0, 4), [0.0625, 0.5625, 1.5625, 3.0625])
+        for hi in (0.0, -1.0):
+            with pytest.raises(ValueError, match="xmax"):
+                default_x_grid(profile, hi)
 
 
 class TestCdfInterval:
@@ -327,14 +406,13 @@ class TestCdfInterval:
         assert m1 <= m2 + 1e-12
 
     def test_nesting_consistency_with_density_curve(self, rand_profile):
-        # same smoothing height on both sides: differences are pure quadrature
-        a, b, eta = 0.5, 2.0, 1e-2
-        xs = np.linspace(a, b, 301)
-        cfg = InversionConfig(x_grid=xs, eta_sequence=(eta,))
-        curve = density_curve(rand_profile, cfg)
-        trap = float(np.trapezoid(curve.density, curve.xs))
-        quad = cdf_interval(rand_profile, a, b, eta)
-        assert abs(trap - quad) <= 2e-6
+        # both inversions estimate the same law, one in x and one in sqrt(x):
+        # their masses of [a, b] agree to their eta -> 0 extrapolation error
+        a, b, etas = 0.5, 2.0, (1e-2, 5e-3)
+        curve = density_curve(rand_profile, InversionConfig(x_grid=np.linspace(a, b, 301),
+                                                            eta_sequence=etas))
+        quad = cdf_interval(rand_profile, a, b, etas)
+        assert abs(curve.total_mass - curve.cdf[0] - quad) <= 5e-5   # 2.3e-5 measured
 
     def test_invalid_inputs(self, ones16):
         with pytest.raises(ValueError):

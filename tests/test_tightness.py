@@ -118,7 +118,8 @@ def _oracle_instances(rng, count):
         elif kind == "constant":
             entries = np.full((n, N), float(rng.integers(1, 4)))
         elif kind == "block":
-            levels = rng.integers(1, 4, size=int(rng.integers(1, 4)))
+            # make_profile refuses more levels than rows, which once lost the extra ones
+            levels = rng.integers(1, 4, size=int(rng.integers(1, 4)))[:n]
             entries = make_profile("block:" + ",".join(map(str, levels)), n, N).entries
         elif kind == "spike":
             entries = np.ones((n, N))
