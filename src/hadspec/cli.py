@@ -7,8 +7,9 @@ and --max-iter; compare's --jobs is accepted and has no effect.
 
 build_parser declares every option once, with its default.  A --config file
 replaces the defaults of the options the command declares (main parses argv
-a second time), so an explicit flag beats the config file, which beats the
-built-in default; HS_SEED overrides the seed from any source.
+a second time, with the same parser), so an explicit flag beats the config
+file, which beats the built-in default; HS_SEED overrides the seed from any
+source.
 
 Every file-writing command writes atomically (temp file + rename) and drops
 a JSON manifest next to its outputs: the options the command parsed, under
@@ -296,13 +297,8 @@ def cmd_mp_check(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The one declaration of every option and its default.
-
-    config (from load_config) replaces the defaults of the options it names;
-    argparse converts a string default through the option's type, just as it
-    converts a flag's value.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The one declaration of every option and its default."""
     parser = argparse.ArgumentParser(
         prog="hadspec",
         description="Deterministic-equivalent spectra for Hadamard-weighted covariance matrices")
@@ -372,18 +368,20 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                    help="columns of the all-ones instance (n = c*N)")
     p.add_argument("--z", type=parse_z, action="append", help=Z_HELP)
     p.set_defaults(func=cmd_mp_check)
-
-    for p in sub.choices.values():
-        own = {action.dest for action in p._actions}
-        p.set_defaults(**{key: val for key, val in (config or {}).items() if key in own})
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.config:
-            args = build_parser(load_config(args.config)).parse_args(argv)
+            # config values become defaults, which argparse converts by type
+            config = load_config(args.config)
+            for p in parser._subparsers._group_actions[0].choices.values():
+                own = {action.dest for action in p._actions}
+                p.set_defaults(**{key: val for key, val in config.items() if key in own})
+            args = parser.parse_args(argv)
         if "seed" in args and os.environ.get(SEED_ENV):
             try:
                 args.seed = int(os.environ[SEED_ENV])
@@ -393,7 +391,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -4,7 +4,7 @@ All types are immutable after construction and safe to share across threads.
 Complex arithmetic is double precision throughout; per-operation tolerances
 live with the operations, not here.  A profile is read from CSV with
 WeightProfile.from_csv; the CLI's solve command writes a FixedPointSolution's
-row itself.
+row itself, and a distribution integrates by its own rule (integrate).
 """
 
 from __future__ import annotations
@@ -277,40 +277,67 @@ class EmpiricalDistribution:
     def cdf_left(self, x) -> np.ndarray:
         return np.searchsorted(self.atoms, np.asarray(x, dtype=float), side="left") / len(self)
 
+    def integrate(self, f):
+        """int f dF, the mean of f over the atoms; f's leading axes carry through."""
+        return np.asarray(f(self.atoms), dtype=float).mean(axis=-1)
+
 
 @dataclass(frozen=True)
 class DensityCurve:
     """Grid representation of the deterministic-equivalent distribution on [0, inf).
 
-    At the positive abscissae xs, density is the x-density rho_s(s) / s,
-    s = sqrt(x), and cdf is atom_at_zero plus the trapezoid rule in s of
-    2 rho_s from s = 0 (stieltjes._trapezoid_steps): the curve is 0 below 0
-    and atom_at_zero at 0.  failed_xs lists grid abscissae where the solver
-    failed; those points are absent from xs and the curve is partial.
+    rho_s is the s-density at the positive abscissae xs, s = sqrt(x).  The
+    curve's one rule: int f dF is atom_at_zero f(0) plus the trapezoid rule in
+    s of 2 f(s^2) rho_s over (0, s_1, ..., s_P), rho_s held at its first value
+    on [0, s_1] (it is even in s), and 0 across a step holding a point of
+    failed_xs (abscissae the solver failed at, absent from xs: the curve is
+    partial).  cdf is the rule's running sum, density the x-density rho_s / s.
     """
 
     xs: np.ndarray
-    density: np.ndarray
-    cdf: np.ndarray
+    rho_s: np.ndarray
     eta_used: tuple
     atom_at_zero: float = 0.0
     failed_xs: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         xs = _readonly(np.array(self.xs, dtype=float))
-        de = _readonly(np.array(self.density, dtype=float))
-        cd = _readonly(np.array(self.cdf, dtype=float))
-        if not (len(xs) == len(de) == len(cd)):
-            raise ValueError("xs, density and cdf must align")
+        rho = _readonly(np.array(self.rho_s, dtype=float))
+        if len(xs) != len(rho):
+            raise ValueError("xs and rho_s must have equal lengths")
         if np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
             raise ValueError("xs must be positive and strictly ascending")
-        if np.any(de < 0):
-            raise ValueError("density must be nonnegative")
-        if np.any(np.diff(cd) < -1e-12):
-            raise ValueError("cdf must be nondecreasing")
+        if np.any(rho < 0):
+            raise ValueError("rho_s must be nonnegative")
         object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "density", de)
-        object.__setattr__(self, "cdf", cd)
+        object.__setattr__(self, "rho_s", rho)
+
+    def _running(self, f) -> np.ndarray:
+        """The rule's running sums of 2 f rho_s; f holds a weight at the nodes
+        (0, xs) on its last axis."""
+        s = np.sqrt(np.concatenate([[0.0], self.xs]))
+        y = 2.0 * f * np.concatenate([self.rho_s[:1], self.rho_s])
+        steps = np.diff(s) * (y[..., 1:] + y[..., :-1]) / 2.0
+        after = np.searchsorted(self.xs, self.failed_xs)
+        steps[..., after[after < len(self.xs)]] = 0.0
+        return np.cumsum(steps, axis=-1)
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """atom_at_zero plus the rule's running sums, at the xs."""
+        return _readonly(self.atom_at_zero + self._running(1.0))
+
+    def integrate(self, f):
+        """int f dF: the last running sum plus atom_at_zero f(0), as cdf ends,
+        so f = 1 gives total_mass bit for bit.  f maps the nodes (0, xs) to an
+        array whose last axis runs over them; leading axes carry through."""
+        fx = np.asarray(f(np.concatenate([[0.0], self.xs])), dtype=float)
+        return self._running(fx)[..., -1] + self.atom_at_zero * fx[..., 0]
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        """The x-density rho_s / sqrt(x) at the xs."""
+        return _readonly(self.rho_s / np.sqrt(self.xs))
 
     @property
     def partial(self) -> bool:

@@ -16,12 +16,12 @@ values reproducible.  Reported metric values are enumeration-relative.
 
 d_metric evaluates its I_MAX test functions at once, as one (I_MAX, points)
 array built from a cached table of 1/m, a and b by the formula that
-TestFunctionIndex.__call__ applies to one function: an empirical integral
-is a row mean, a curve integral a row trapezoid in s = sqrt(x) plus the
-atom term.  A partial curve's trapezoids add nothing across its gaps, the
-rule of its CDF.  TestIntegrals holds one distribution's integrals for reuse.  The
-weighted differences are summed in ascending i as Python floats, as a
-per-function loop would, so the value is the loop's bit for bit.
+TestFunctionIndex.__call__ applies to one function, and integrated by the
+distribution's own integrate (core): an empirical integral is a row mean,
+a curve's the rule of its CDF.  TestIntegrals holds one distribution's
+integrals for reuse.  The weighted differences are summed in ascending i
+as Python floats, as a per-function loop would, so the value is the loop's
+bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from fractions import Fraction
 import numpy as np
 
 from .core import DensityCurve, EmpiricalDistribution
-from .stieltjes import _trapezoid_steps
 
 I_MAX = 24                        # terms of the truncated metric
 TAIL_BOUND = 2.0 ** (1 - I_MAX)   # 2^-23 ~ 1.2e-7, below every comparison tolerance
@@ -99,23 +98,13 @@ def _table():
 
 
 def _integrals(F):
-    """int f_i dF for i = 1..I_MAX: exact atom means for empirical F, trapezoid for a curve.
-
-    Row i of each (I_MAX, points) array holds f_i at every point.  A curve
-    integrates by its own CDF's rule: the trapezoid rule in s = sqrt(x) of
-    2 f(s^2) rho_s from s = 0, adding nothing across a gap, plus
-    atom_at_zero f(0).
-    """
+    """int f_i dF for i = 1..I_MAX, by F's own integrate: the (I_MAX, points)
+    table of f_i goes through in one call."""
     if isinstance(F, TestIntegrals):
         return F.values
-    table = _table()
-    if isinstance(F, EmpiricalDistribution):
-        return _trapezoid_fn(F.atoms, *table).mean(axis=1).tolist()
-    if isinstance(F, DensityCurve):
-        f = _trapezoid_fn(np.concatenate([[0.0], F.xs]), *table)
-        steps = _trapezoid_steps(F.xs, F.density * np.sqrt(F.xs), F.failed_xs, f)
-        return (steps.sum(axis=1) + F.atom_at_zero * f[:, 0]).tolist()
-    raise TypeError(f"cannot integrate against {type(F).__name__}")
+    if not isinstance(F, (EmpiricalDistribution, DensityCurve)):
+        raise TypeError(f"cannot integrate against {type(F).__name__}")
+    return F.integrate(lambda x: _trapezoid_fn(x, *_table())).tolist()
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,15 @@ The law of B lives on [0, inf), with an atom a at 0 when n > N.
 density_curve inverts in s = sqrt(x): w G(w^2) is the Stieltjes transform
 of the symmetrised singular-value law, whose density rho_s is bounded at 0
 and whose only singularity there is the atom's pole -a/w.  So it solves at
-w = s + i eta (eta is a height in s), books the measured atom (_atom) as
-the CDF's jump at 0, and reads rho_s = (1/pi) Im[w G(w^2) + a/w] through
-_richardson, the one eta -> 0 rule of both inversions, on a schedule valid
-by _eta_schedule.  Both inversions run one batched sweep (_sweep) down the
-schedule, certifying every point at every level: the density at
-(s + i eta)^2, interval masses at x + i eta on the nodes of 8-point
-Gauss-Legendre panels at most 2 eta_min wide (Im G(x + i eta) is analytic
-for |Im x| < eta).  Memory is O(points x unique columns).
+w = s + i eta (eta is a height in s), measures the atom (_atom), and reads
+rho_s = (1/pi) Im[w G(w^2) + a/w] through _richardson, the one eta -> 0
+rule of both inversions, on a schedule valid by _eta_schedule.  Both
+inversions run one batched sweep (_sweep) down the schedule, certifying
+every point at every level: the density at (s + i eta)^2, interval masses
+at x + i eta on the nodes of 8-point Gauss-Legendre panels at most
+2 eta_min wide (Im G(x + i eta) is analytic for |Im x| < eta).  Memory is
+O(points x unique columns).  The curve (core.DensityCurve) holds rho_s and
+the atom, and owns the rule that integrates them.
 """
 
 from __future__ import annotations
@@ -154,22 +155,6 @@ def _atom(profile: WeightProfile, scfg: SolverConfig) -> float:
     return max(0.0, float(_richardson(tuple(np.sqrt(ys)), ys * g.imag)))
 
 
-def _trapezoid_steps(xs: np.ndarray, rho: np.ndarray, failed_xs=(), f=1.0) -> np.ndarray:
-    """Trapezoid areas in s = sqrt(x) of 2 f rho over (0, s_1, ..., s_P), 0 across a gap.
-
-    rho is the s-density at the xs, held at its first value on [0, s_1] (it
-    is even in s); f holds a weight at the nodes (0, xs) on its last axis.
-    A gap is a step whose interval holds a point of failed_xs.  The rule of
-    the density's CDF and of the metric's curve integrals.
-    """
-    s = np.sqrt(np.concatenate([[0.0], xs]))
-    y = 2.0 * f * np.concatenate([rho[:1], rho])
-    steps = np.diff(s) * (y[..., 1:] + y[..., :-1]) / 2.0
-    after = np.searchsorted(xs, failed_xs)
-    steps[..., after[after < len(xs)]] = 0.0
-    return steps
-
-
 def density_curve(profile: WeightProfile, cfg: InversionConfig,
                   solver_cfg: SolverConfig | None = None,
                   with_diagnostics: bool = False):
@@ -178,10 +163,9 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
     Each eta level is one data-parallel sweep at z = (s + i eta)^2,
     warm-started from the level above.  At each certified point
     rho_s = max(_richardson(etas, Im[w G(w^2) + a/w]), 0) / pi, a = _atom;
-    the curve's density is the x-density rho_s / s, and its CDF is a plus
-    _trapezoid_steps of rho_s.  Points not certified at a level the
-    estimate reads are gaps: the curve is partial and adds no mass across
-    a gap.
+    the curve (DensityCurve) holds rho_s and a and derives its CDF by its
+    own rule.  Points not certified at a level the estimate reads are gaps:
+    the curve is partial and adds no mass across a gap.
     """
     scfg = solver_cfg or SolverConfig()
     xs = cfg.x_grid
@@ -194,9 +178,8 @@ def density_curve(profile: WeightProfile, cfg: InversionConfig,
     atom = _atom(profile, scfg)
     w = s[good] + 1j * np.array(etas[-len(g):])[:, None]
     rho = np.maximum(_richardson(etas, (w * g[:, good] + atom / w).imag), 0.0) / np.pi
-    steps = _trapezoid_steps(xs[good], rho, failed)
-    curve = DensityCurve(xs=xs[good], density=rho / s[good], cdf=atom + np.cumsum(steps),
-                         eta_used=etas, atom_at_zero=atom, failed_xs=failed)
+    curve = DensityCurve(xs=xs[good], rho_s=rho, eta_used=etas, atom_at_zero=atom,
+                         failed_xs=failed)
     if with_diagnostics:
         return curve, DensityDiagnostics(levels=levels)
     return curve
@@ -215,7 +198,9 @@ def cdf_interval(profile: WeightProfile, a: float, b: float, eta,
     geometrically on such panels, and all levels share the nodes, so warm
     starts carry down the schedule.  Memory is O(nodes x unique columns),
     with 4 (b - a) / eta_min nodes.  Raises QuadratureStallError when a
-    node has not converged at a height the result uses.
+    node has not converged at a height the result uses.  An end at 0 reads
+    half the atom there and part of the hard edge's leak (mass of [0, 1] on
+    constant 64x32, atom 0.5: 0.250 low); an end at -1 reads them in full.
     """
     etas = _eta_schedule(np.atleast_1d(eta))
     if not (np.isfinite(a) and np.isfinite(b)):

@@ -507,12 +507,15 @@ def integrate_test_function(F, tf) -> float:
     if isinstance(F, EmpiricalDistribution):
         return float(np.mean(tf(F.atoms)))
     if isinstance(F, DensityCurve):
-        # trapezoid in s = sqrt(x) of 2 f(s^2) rho_s from s = 0, rho_s = density s
-        # held at its first value on [0, s_1]
+        # trapezoid in s = sqrt(x) of 2 f(s^2) rho_s from s = 0, rho_s held at
+        # its first value on [0, s_1], one interval at a time, left to right
         nodes = np.concatenate([[0.0], F.xs])
-        rho = F.density * np.sqrt(F.xs)
-        y = 2.0 * tf(nodes) * np.concatenate([rho[:1], rho])
-        return float(np.trapezoid(y, np.sqrt(nodes))) + F.atom_at_zero * float(tf(0.0))
+        s = np.sqrt(nodes)
+        y = 2.0 * tf(nodes) * np.concatenate([F.rho_s[:1], F.rho_s])
+        total = 0.0
+        for k in range(len(F.xs)):
+            total += (s[k + 1] - s[k]) * (y[k + 1] + y[k]) / 2.0
+        return float(total) + F.atom_at_zero * float(tf(0.0))
     raise TypeError(f"cannot integrate against {type(F).__name__}")
 
 

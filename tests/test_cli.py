@@ -7,6 +7,7 @@ import shlex
 import numpy as np
 import pytest
 
+from hadspec import cli
 from hadspec.cli import atomic_write, build_parser, main, parse_sizes, parse_z
 from hadspec.experiments import default_x_grid, make_profile
 from hadspec.stieltjes import InversionConfig, density_curve
@@ -80,6 +81,26 @@ class TestMpCheck:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mp-check", "--c", "1e6", "--N", "1000"],
+    ["solve", "--profile", "ones", "--n", "4", "--N", "4", "--z", "0+1i"],
+    ["density", "--profile", "ones", "--n", "4", "--N", "4"],
+    ["simulate", "--profile", "ones", "--n", "4", "--N", "4"],
+    ["truncate", "--profile", "ones", "--n", "4", "--N", "4"]], ids=lambda argv: argv[0])
+def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    # an instance too large to build (mp-check --c 1e6 --N 1000 asks numpy
+    # for 7.28 TiB) exits 1 with one error line; the allocation is faked
+    message = "Unable to allocate 7.28 TiB for an array"
+
+    def huge(*args):
+        raise MemoryError(message)
+    monkeypatch.setattr(cli, "make_profile", huge)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"error: MemoryError: {message}\n"
+    assert os.listdir(tmp_path) == []
 
 
 class TestDensityCommand:
@@ -544,6 +565,15 @@ class TestConfigAndEnv:
         ma, mb = read_json(a + ".manifest.json"), read_json(b + ".manifest.json")
         assert ma["options"] == mb["options"] and ma["config_hash"] == mb["config_hash"]
         assert ma["options"]["seed"] == 7 and "trials" not in ma["options"]
+
+    def test_config_run_builds_the_parser_once(self, tmp_path, monkeypatch):
+        # the config's defaults go on the parser already built, which parses again
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cfg = tmp_path / "mp.ini"
+        cfg.write_text("[mp]\nc = 0.5\nN = 32\n")
+        assert run_cli(["mp-check", "--z", "1+0.5i", "--config", str(cfg)]) == 0
+        assert len(built) == 1
 
     def test_mp_check_reads_c_and_N(self, tmp_path, capsys):
         cfg = tmp_path / "mp.ini"

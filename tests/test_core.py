@@ -187,28 +187,27 @@ class TestEmpiricalDistribution:
 class TestDensityCurve:
     def test_invariants_enforced(self):
         xs = np.array([0.25, 1.0])
-        with pytest.raises(ValueError):
-            DensityCurve(xs=xs, density=np.array([-1.0, 0.0]), cdf=np.array([0.0, 1.0]),
-                         eta_used=(1e-2,))
-        with pytest.raises(ValueError):
-            DensityCurve(xs=xs, density=np.array([1.0, 0.0]), cdf=np.array([1.0, 0.0]),
-                         eta_used=(1e-2,))
+        with pytest.raises(ValueError, match="rho_s must be nonnegative"):
+            DensityCurve(xs=xs, rho_s=np.array([-1.0, 0.0]), eta_used=(1e-2,))
+        with pytest.raises(ValueError, match="equal lengths"):
+            DensityCurve(xs=xs, rho_s=np.array([1.0]), eta_used=(1e-2,))
 
     def test_negative_mass(self):
         # a curve holds no mass below 0 by construction: its grid points
         # are positive, and cdf_at is 0 below 0 and the atom at 0
         for xs in ([0.0, 1.0], [-0.5, 1.0]):
             with pytest.raises(ValueError, match="xs must be positive and strictly ascending"):
-                DensityCurve(xs=np.array(xs), density=np.array([1.0, 1.0]),
-                             cdf=np.array([0.0, 1.0]), eta_used=(1e-2,))
-        c = DensityCurve(xs=np.array([1e-8, 1.0]), density=np.array([1.0, 1.0]),
-                         cdf=np.array([0.5, 1.0]), eta_used=(1e-2,), atom_at_zero=0.5)
+                DensityCurve(xs=np.array(xs), rho_s=np.array([1.0, 1.0]), eta_used=(1e-2,))
+        c = DensityCurve(xs=np.array([1e-8, 1.0]), rho_s=np.array([0.25, 0.25]),
+                         eta_used=(1e-2,), atom_at_zero=0.5)
         assert c.cdf_at(-1e-300) == 0.0 and c.cdf_at(0.0) == 0.5
 
     def test_cdf_interp_clamps(self):
-        # linear in sqrt(x) from (0, atom_at_zero); 0 below 0, flat past the grid
-        c = DensityCurve(xs=np.array([0.25, 1.0]), density=np.array([1.0, 1.0]),
-                         cdf=np.array([0.5, 1.0]), eta_used=(1e-2,), atom_at_zero=0.25)
+        # linear in sqrt(x) from (0, atom_at_zero); 0 below 0, flat past the grid.
+        # The rule puts 0.25 on s in [0, 0.5] and 0.5 on [0.5, 1]
+        c = DensityCurve(xs=np.array([0.25, 1.0]), rho_s=np.array([0.25, 0.75]),
+                         eta_used=(1e-2,), atom_at_zero=0.25)
+        assert np.array_equal(c.cdf, [0.5, 1.0])
         assert c.cdf_at(-5.0) == 0.0
         assert c.cdf_at(0.0) == 0.25
         assert c.cdf_at(0.0625) == pytest.approx(0.375)   # s = 0.25, halfway to s = 0.5
@@ -217,6 +216,44 @@ class TestDensityCurve:
         assert np.array_equal(c.cdf_at([-1.0, 0.25, 1.0]), [0.0, 0.5, 1.0])
         assert not c.partial
 
+    def test_derived_arrays_are_read_only(self):
+        c = DensityCurve(xs=np.array([0.25, 1.0]), rho_s=np.array([1.0, 0.5]), eta_used=(1e-2,))
+        assert np.array_equal(c.density, [2.0, 0.5])
+        for name in ("cdf", "density"):
+            assert not getattr(c, name).flags.writeable
+            with pytest.raises(AttributeError):
+                setattr(c, name, np.zeros(2))
+
+    def test_cdf_is_the_trapezoid_rule_on_a_partial_curve(self):
+        # atom plus the trapezoid rule in s of 2 rho_s from s = 0, rho_s held
+        # at its first value on [0, s_1], and no mass across a step holding a
+        # failed point (here 0.5, between 0.3 and 0.8)
+        xs, rho = np.array([0.1, 0.3, 0.8, 1.2]), np.array([0.4, 0.3, 0.2, 0.1])
+        c = DensityCurve(xs=xs, rho_s=rho, eta_used=(1e-2,), atom_at_zero=0.2,
+                         failed_xs=(0.5,))
+        s, y = np.sqrt(np.r_[0.0, xs]), 2.0 * np.r_[rho[0], rho]
+        steps = np.diff(s) * (y[1:] + y[:-1]) / 2.0
+        steps[2] = 0.0
+        np.testing.assert_allclose(c.cdf, 0.2 + np.cumsum(steps), rtol=1e-15, atol=0.0)
+        assert c.partial and c.integrate(np.ones_like) == c.total_mass
+
+
+class TestIntegrate:
+    def test_empirical_is_the_atom_mean(self):
+        d = EmpiricalDistribution(np.array([0.0, 1.0, 2.0, 5.0]))
+        assert d.integrate(lambda x: x ** 2) == 7.5
+        table = d.integrate(lambda x: np.array([x, x ** 2]))
+        assert table.shape == (2,) and np.array_equal(table, [2.0, 7.5])
+
+    def test_curve_rows_are_single_integrals(self):
+        c = DensityCurve(xs=np.array([0.25, 1.0, 2.0]), rho_s=np.array([0.3, 0.2, 0.1]),
+                         eta_used=(1e-2,), atom_at_zero=0.25)
+        table = c.integrate(lambda x: np.array([np.ones_like(x), x, np.cos(x)]))
+        assert table.shape == (3,)
+        assert table[0] == c.total_mass == c.integrate(np.ones_like)
+        assert table[1] == c.integrate(lambda x: x)
+        assert table[2] == c.integrate(np.cos)
+
 
 def _empirical():
     atoms = np.array([1.0, 2.0, 3.0])
@@ -224,8 +261,7 @@ def _empirical():
 
 
 def _curve():
-    arrays = {"xs": np.array([0.5, 1.0]), "density": np.array([1.0, 1.0]),
-              "cdf": np.array([0.0, 1.0])}
+    arrays = {"xs": np.array([0.5, 1.0]), "rho_s": np.array([1.0, 1.0])}
     return DensityCurve(eta_used=(1e-2,), **arrays), arrays
 
 

@@ -1,3 +1,4 @@
+import ast
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hadspec import (
 )
 from hadspec import EntrySampler, empirical_spectrum, make_profile, validate_profile
 from hadspec.experiments import default_x_grid
+from hadspec import metrics
 from hadspec.metrics import I_MAX, TAIL_BOUND, TestIntegrals
 from hadspec.stieltjes import InversionConfig, density_curve
 
@@ -74,17 +76,16 @@ class TestTestFunction:
         assert integrate_test_function(delta(mid), tf) == pytest.approx(1 / (2 * m))
 
     def test_curve_integration_includes_atom(self):
+        # mass 0.5 uniform on [0, 1] in x (x-density 0.5, so rho_s = 0.5 s)
         xs = (np.sqrt(1.5) * (np.arange(400) + 0.5) / 400) ** 2
-        dens = np.where(xs <= 1, 1.0, 0.0)
-        cdf = np.clip(xs, 0, 1) * 0.5 + 0.5
-        curve = DensityCurve(xs=xs, density=dens * 0.5, cdf=cdf,
+        curve = DensityCurve(xs=xs, rho_s=np.where(xs <= 1, 0.5 * np.sqrt(xs), 0.0),
                              eta_used=(1e-2,), atom_at_zero=0.5)
         tf = TestFunctionIndex(i=1, m=1, a=Fraction(-1), b=Fraction(2))
         # plateau covers everything: the atom contributes tf(0) * mass on
         # top of the trapezoid integral in s = sqrt(x) of 2 tf(s^2) rho_s,
-        # rho_s = density s held at its first value on [0, s_1]
+        # rho_s held at its first value on [0, s_1]
         s = np.sqrt(xs)
-        rho = curve.density * s
+        rho = curve.rho_s
         y = 2.0 * tf(np.r_[0.0, xs]) * np.r_[rho[0], rho]
         expected = np.trapezoid(y, np.r_[0.0, s]) + 0.5 * tf(0.0)
         got = integrate_test_function(curve, tf)
@@ -147,11 +148,8 @@ def _mp_curve(atom: float) -> DensityCurve:
     # Marchenko-Pastur c = 1 density scaled to mass 1 - atom, plus an atom at 0,
     # on 242 points uniform in s = sqrt(x)
     xs = (np.sqrt(4.5) * (np.arange(242) + 0.5) / 242) ** 2
-    dens = (1.0 - atom) * np.array([mp_density_c1(x) for x in xs])
-    y = 2.0 * dens * np.sqrt(xs)
-    y = np.r_[y[0], y]
-    cdf = atom + np.cumsum(np.diff(np.sqrt(np.r_[0.0, xs])) * (y[1:] + y[:-1]) / 2.0)
-    return DensityCurve(xs=xs, density=dens, cdf=cdf, eta_used=(1e-2,), atom_at_zero=atom)
+    rho = (1.0 - atom) * np.array([mp_density_c1(x) for x in xs]) * np.sqrt(xs)
+    return DensityCurve(xs=xs, rho_s=rho, eta_used=(1e-2,), atom_at_zero=atom)
 
 
 class TestDMetricMatchesPerFunctionLoop:
@@ -226,12 +224,14 @@ class TestKSDistance:
     def test_empirical_vs_interpolating_curve(self):
         atoms = np.linspace(0.05, 0.95, 10)
         F = EmpiricalDistribution(atoms)
-        xs = np.linspace(0.0, 1.2, 201)[1:]
-        curve = DensityCurve(xs=xs, density=np.zeros_like(xs), cdf=F.cdf(xs),
+        # the uniform law on [0, 1] (rho_s = s there), which lies exactly
+        # 0.05 from F's atoms at the centres of the tenths
+        xs = (np.sqrt(1.2) * (np.arange(200) + 0.5) / 200) ** 2
+        curve = DensityCurve(xs=xs, rho_s=np.where(xs <= 1.0, np.sqrt(xs), 0.0),
                              eta_used=(1e-2,))
         # interpolation bound: largest cdf increment between grid nodes
         bound = np.max(np.diff(curve.cdf))
-        assert ks_distance(F, curve) <= bound + 1e-12
+        assert abs(ks_distance(F, curve) - 0.05) <= bound
 
     @pytest.mark.parametrize("gen,n,N", [("constant", 48, 48), ("iid_uniform:0,2", 48, 48),
                                          ("block:0.5,1.5", 48, 48), ("iid_uniform:0,2", 64, 32)])
@@ -251,8 +251,8 @@ class TestKSDistance:
         # exact zeros matches both sides of the jump; comparing its left
         # limit 0 with the curve's value 0.5 at 0 would read KS 0.5
         xs = (np.arange(2000) + 0.5) / 2000
-        curve = DensityCurve(xs=xs, density=np.full_like(xs, 0.5), cdf=0.5 + 0.5 * xs,
-                             eta_used=(1e-2,), atom_at_zero=0.5)
+        curve = DensityCurve(xs=xs, rho_s=0.5 * np.sqrt(xs), eta_used=(1e-2,),
+                             atom_at_zero=0.5)
         half = EmpiricalDistribution(np.r_[np.zeros(100), (np.arange(100) + 0.5) / 100])
         assert ks_distance(half, curve) <= 0.006
         # a spectrum with no zero misses the whole jump, which 0 need not be an atom to show
@@ -282,3 +282,18 @@ class TestWassersteinBound:
     def test_ascending_required(self):
         with pytest.raises(ValueError):
             wasserstein_sq_bound([2.0, 1.0], [1.0, 2.0])
+
+
+def test_metrics_imports_from_core_only():
+    # a distribution integrates by its own rule (core), so metrics reads no
+    # other module of the package
+    with open(metrics.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    package = [name for name in imported if name.startswith((".", "hadspec"))]
+    assert package == [".core"]

