@@ -16,7 +16,7 @@ a JSON manifest next to its outputs: the options the command parsed, under
 their dest names, with what it resolved from them (see write_manifest),
 their hash, and the package version.  Identical argv + config produce
 byte-identical CSV payloads and the same config_hash; manifests differ at
-most in their timestamp and their trace block (compare's stage wall times).
+most in their timestamp and their trace block (solver records, wall times).
 """
 
 from __future__ import annotations
@@ -208,9 +208,10 @@ def cmd_density(args) -> int:
     profile = load_profile(args)
     grid = default_x_grid(profile, args.xmax, args.points)
     cfg = InversionConfig(x_grid=grid, eta_sequence=args.eta)
-    curve = density_curve(profile, cfg, solver_from(args))
+    curve, diag = density_curve(profile, cfg, solver_from(args), with_diagnostics=True)
     atomic_write(args.out, curve.write_csv)
-    write_manifest(args, [args.out], n=profile.n, N=profile.N, atom_at_zero=curve.atom_at_zero,
+    write_manifest(args, [args.out], trace={"levels": [vars(lv) for lv in diag.levels]},
+                   n=profile.n, N=profile.N, atom_at_zero=curve.atom_at_zero,
                    total_mass=curve.total_mass, partial=curve.partial)
     print(f"wrote {args.out} (mass {curve.total_mass:.6f}, atom {curve.atom_at_zero:.6f})")
     return 1 if curve.partial else 0

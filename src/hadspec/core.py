@@ -1,10 +1,10 @@
 """Shared domain types: weight profiles, spectral points, solutions, distributions.
 
-All types are immutable after construction and safe to share across threads.
-Complex arithmetic is double precision throughout; per-operation tolerances
-live with the operations, not here.  A profile is read from CSV with
-WeightProfile.from_csv; the CLI's solve command writes a FixedPointSolution's
-row itself, and a distribution integrates by its own rule (integrate).
+All types are immutable and safe to share across threads; complex arithmetic
+is double precision, and tolerances live with the operations.  A profile is
+read from CSV with WeightProfile.from_csv.  Both distribution types integrate
+by their own rule (integrate) and share one CDF interface: knots, where the
+CDF may jump or bend, and its value (cdf_at) and left limit (cdf_left).
 """
 
 from __future__ import annotations
@@ -261,8 +261,8 @@ class EmpiricalDistribution:
 
     def __post_init__(self):
         a = np.array(self.atoms, dtype=float)
-        if a.ndim != 1 or a.size == 0:
-            raise ValueError("atom list must be a nonempty 1-d sequence")
+        if a.ndim != 1 or a.size == 0 or not np.isfinite(a).all():
+            raise ValueError("atom list must be a nonempty 1-d sequence of finite values")
         if np.any(np.diff(a) < 0):
             raise ValueError("atoms must be ascending")
         object.__setattr__(self, "atoms", _readonly(a))
@@ -270,7 +270,12 @@ class EmpiricalDistribution:
     def __len__(self):
         return len(self.atoms)
 
-    def cdf(self, x) -> np.ndarray:
+    @property
+    def knots(self) -> np.ndarray:
+        """Where the CDF may jump: the atoms."""
+        return self.atoms
+
+    def cdf_at(self, x) -> np.ndarray:
         """Right-continuous CDF, mass #{atoms <= x} / len."""
         return np.searchsorted(self.atoms, np.asarray(x, dtype=float), side="right") / len(self)
 
@@ -305,6 +310,8 @@ class DensityCurve:
         rho = _readonly(np.array(self.rho_s, dtype=float))
         if len(xs) != len(rho):
             raise ValueError("xs and rho_s must have equal lengths")
+        if not (np.isfinite(np.r_[xs, rho]).all() and 0 <= self.atom_at_zero < np.inf):
+            raise ValueError("xs, rho_s and atom_at_zero must be finite, atom_at_zero nonnegative")
         if np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
             raise ValueError("xs must be positive and strictly ascending")
         if np.any(rho < 0):
@@ -347,12 +354,21 @@ class DensityCurve:
     def total_mass(self) -> float:
         return float(self.cdf[-1])
 
+    @cached_property
+    def knots(self) -> np.ndarray:
+        """Where the CDF's rule changes: 0 (the atom's jump), then the xs."""
+        return _readonly(np.r_[0.0, self.xs])
+
     def cdf_at(self, x) -> np.ndarray:
-        """The CDF, linear in sqrt(x) from (0, atom_at_zero) on; 0 below 0, flat past the grid."""
+        """The CDF, linear in sqrt(x) between the knots; 0 below 0, flat past the grid."""
         x = np.asarray(x, dtype=float)
-        inside = np.interp(np.sqrt(np.maximum(x, 0.0)), np.sqrt(np.r_[0.0, self.xs]),
+        inside = np.interp(np.sqrt(np.maximum(x, 0.0)), np.sqrt(self.knots),
                            np.r_[self.atom_at_zero, self.cdf])
         return np.where(x < 0.0, 0.0, inside)
+
+    def cdf_left(self, x) -> np.ndarray:
+        """The left limit of the CDF: 0 at and below 0, cdf_at elsewhere."""
+        return np.where(np.asarray(x, dtype=float) <= 0.0, 0.0, self.cdf_at(x))
 
     def write_csv(self, fh) -> None:
         eta = ";".join("%.17g" % e for e in self.eta_used)

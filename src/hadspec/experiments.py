@@ -181,8 +181,8 @@ class ComparisonReport:
         times in seconds per size and stage (plan_s includes building the
         profile, invert_s the curve's test-function integrals), the size
         whose curve a size reused (None when it inverted its own), the
-        curve's atom_at_zero, and a failed size's failed_stage (plan or
-        invert) and error_type."""
+        curve's atom_at_zero, an inverting size's LevelDiagnostics per eta
+        level (levels), and a failed size's failed_stage and error_type."""
         return {
             "total_runtime_s": self.total_runtime,
             "cells": {f"{n}x{N}": rec for (n, N), rec in self.stages.items()},
@@ -234,6 +234,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
             else:
                 cfg = InversionConfig(x_grid=xs, eta_sequence=spec.eta_sequence)
                 curve, diag = density_curve(truncated, cfg, spec.solver, with_diagnostics=True)
+                stage["levels"] = [vars(lv) for lv in diag.levels]
                 inversions[key] = (f"{n}x{N}", curve, diag, TestIntegrals.of(curve))
             _, curve, diag, curve_integrals = inversions[key]
             t = _lap(stage, "invert_s", t)

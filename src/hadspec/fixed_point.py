@@ -32,11 +32,11 @@ the product gives the imaginary-part identity defect and the
 Collatz-Wielandt bound max_j (C0 e2)_j / e2_j >= rho(C0), and ``certified``
 (residual <= tol and that bound < 1: uniqueness and local stability)
 defines converged on every path.  Every path enters the kernel through
-``_iterate``, from a warm start checked to lie in C+ or from ``_cold_start``,
-whose docstring states where a cold solve begins.
-``solve_grid`` solves a grid as one cold-started block, ``solve_e0`` one
-point; ``solve_batch`` is the bare kernel on a horizontal line, which the
-inversions in ``stieltjes`` finish with ``_finish`` and ``batch_G`` evaluates.
+``_iterate``, from ``_cold_start`` or from the one warm start, ``solve_batch``'s
+reduced block, checked to lie in C+.  ``solve_grid`` solves a grid as one
+cold-started block, and ``solve_e0`` is solve_grid at one point;
+``solve_batch`` is the bare kernel on a horizontal line, which the inversions
+in ``stieltjes`` finish with ``_finish`` and ``batch_G`` evaluates.
 
 ``row_denominators``, ``build_certificate`` and ``spectral_radius_nonneg``
 are the full-size reference for the tests and the benchmark, not a solve
@@ -165,12 +165,6 @@ def _cold_start(profile: WeightProfile, zs) -> np.ndarray:
 
 def _expand(red, e_red: np.ndarray) -> np.ndarray:
     return e_red[red.col_inverse]
-
-
-def _restrict(red, e_full: np.ndarray) -> np.ndarray:
-    # representative value per group: first original column in each group
-    _, first = np.unique(red.col_inverse, return_index=True)
-    return np.asarray(e_full, dtype=complex)[first]
 
 
 def _map_points(red, c, x, zs) -> np.ndarray:
@@ -388,56 +382,43 @@ def build_certificate(profile: WeightProfile, sol: FixedPointSolution) -> Contra
 # ---------------------------------------------------------------------------
 
 def _iterate(profile: WeightProfile, zs: np.ndarray, cfg: SolverConfig, e=None):
-    """_anderson on every z from e, a warm start checked to lie in C+, or the cold start."""
+    """_anderson on every z from the cold start, or from e, one reduced column per z in C+."""
     if e is None:
         e = _cold_start(profile, zs)
-    else:
-        _check_upper(e)
+    elif e.shape != (len(profile.reduced.col_mult), len(zs)):
+        raise ValueError(f"a warm start holds one reduced column per point, got shape {e.shape}")
+    _check_upper(e)
     return _anderson(profile.reduced, profile.c, e, zs, cfg)
 
 
-def _solve(profile: WeightProfile, points, cfg: SolverConfig, e=None) -> list:
-    """Iterate every point in one block from e (default: cold start), then certify."""
-    red = profile.reduced
-    zs = np.array([p.z for p in points])
-    e, res, iters = _iterate(profile, zs, cfg, e)
-    g, rho, defect, ok = _finish(profile, e, zs, res, cfg.tol)
-    return [FixedPointSolution(
-                z=pt, e0=_expand(red, e[:, p]), residual=float(res[p]), rho_C0=float(rho[p]),
-                identity_defect=float(defect[p]), iterations=int(iters[p]), g=complex(g[p]),
-                converged=bool(ok[p]))
-            for p, pt in enumerate(points)]
+def solve_e0(profile: WeightProfile, z, cfg: SolverConfig | None = None) -> FixedPointSolution:
+    """Solve the coupled system at one point of the upper half-plane: solve_grid at z.
 
-
-def solve_e0(profile: WeightProfile, z, cfg: SolverConfig | None = None,
-             warm_start=None) -> FixedPointSolution:
-    """Solve the coupled system at one point of the upper half-plane.
-
-    solve_grid at one point.  Without a warm start it begins at
-    _cold_start(profile, z).  The iterate never leaves the upper half-plane;
-    on hitting max_iter the best iterate is returned with converged=False
-    rather than raising.  A warm start that differs across identical
-    profile columns is collapsed to its first-column representatives (the
-    fixed point is column-symmetric).
+    The iterate never leaves the upper half-plane; on hitting max_iter the
+    best iterate is returned with converged=False rather than raising.
     """
     z = _as_z(z)
-    point = SpectralPoint(z.real, z.imag)
-    e = None if warm_start is None else _restrict(profile.reduced, warm_start)[:, None]
-    return _solve(profile, [point], cfg or SolverConfig(), e)[0]
+    return solve_grid(profile, ZGrid((SpectralPoint(z.real, z.imag),)), cfg)[0]
 
 
 def solve_grid(profile: WeightProfile, grid: ZGrid, cfg: SolverConfig | None = None):
-    """Solve every grid point, each at its own z, as one cold-started block.
+    """Solve every grid point, each at its own z, as one cold-started block, then certify.
 
-    Each point follows solve_e0's rule and is certified as solve_e0 would
-    do it alone; unconverged points are recorded in place, never raised.
-    A converged point agrees with solve_e0 to rounding.  An unconverged
-    point may not: BLAS rounds the block-wide products differently from
-    a single column's, and far from the fixed point the map and the
-    Anderson step amplify that (G differs by 9e-11 on rand_profile at
-    3.5 + 0.01i with max_iter=15, residual 0.06).
+    Unconverged points are recorded in place, never raised.  A converged
+    point agrees with solve_e0 at its z to rounding; an unconverged one may
+    not, as BLAS rounds block-wide products differently and far from the
+    fixed point the iteration amplifies that (G differs by 9e-11 on
+    rand_profile at 3.5 + 0.01i with max_iter=15, residual 0.06).
     """
-    return _solve(profile, list(grid), cfg or SolverConfig())
+    cfg = cfg or SolverConfig()
+    zs = np.array([p.z for p in grid])
+    e, res, iters = _iterate(profile, zs, cfg)
+    g, rho, defect, ok = _finish(profile, e, zs, res, cfg.tol)
+    return [FixedPointSolution(
+                z=pt, e0=_expand(profile.reduced, e[:, p]), residual=float(res[p]),
+                rho_C0=float(rho[p]), identity_defect=float(defect[p]),
+                iterations=int(iters[p]), g=complex(g[p]), converged=bool(ok[p]))
+            for p, pt in enumerate(grid)]
 
 
 def solve_batch(profile: WeightProfile, xs, v: float | np.ndarray,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityCurve, WeightProfile, _readonly
-from .fixed_point import SolverConfig, _finish, _iterate, solve_batch, solve_e0
+from .core import DensityCurve, WeightProfile, ZGrid, _readonly
+from .fixed_point import SolverConfig, _finish, solve_batch, solve_e0, solve_grid
 
 # the default eta -> 0 schedule of both inversions and the compare cells
 DEFAULT_ETAS = (1e-2, 5e-3, 2.5e-3)
@@ -62,8 +62,8 @@ class InversionConfig:
 
     def __post_init__(self):
         xs = _readonly(np.array(self.x_grid, dtype=float))
-        if xs.ndim != 1 or xs.size == 0:
-            raise ValueError("x_grid must be a nonempty 1-d array")
+        if xs.ndim != 1 or xs.size < 2:
+            raise ValueError("x_grid must hold at least 2 points in a 1-d array")
         if not np.all((xs > 0) & (xs < np.inf)):
             raise ValueError("x_grid must be finite and positive")
         if np.any(np.diff(xs) <= 0):
@@ -141,17 +141,17 @@ def _richardson(etas: tuple, y: np.ndarray):
 
 
 def _atom(profile: WeightProfile, scfg: SolverConfig) -> float:
-    """The mass at 0: max(0, _richardson in sqrt(y) of y Im G(iy)), as one certified block.
+    """The mass at 0: max(0, _richardson in sqrt(y) of y Im G(iy)), one solve_grid block.
 
     y Im G(iy) tends to a as y -> 0, and a hard edge adds C sqrt(y), which
     the extrapolation through _ATOM_HEIGHTS (in units of mean(d^2), so a
     does not depend on the units of D) cancels.
     """
     ys = np.array(_ATOM_HEIGHTS) * float(profile.squared.mean())
-    e_red, res, _ = _iterate(profile, 1j * ys, scfg)
-    g, _, _, ok = _finish(profile, e_red, 1j * ys, res, scfg.tol)
-    if not ok.all():
+    sols = solve_grid(profile, ZGrid.product([0.0], ys), scfg)    # descending, as ys
+    if not all(s.converged for s in sols):
         raise QuadratureStallError("the atom at 0 did not converge")
+    g = np.array([s.g for s in sols])
     return max(0.0, float(_richardson(tuple(np.sqrt(ys)), ys * g.imag)))
 
 

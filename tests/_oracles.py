@@ -5,7 +5,7 @@ force, never by calling the code under test.  The exceptions are former
 implementations kept as references for their faster rewrites: the rescan
 planner, which shares only the TruncationPlan container; the one-pass
 planner without its early stop; the adaptive
-quadrature of interval masses, which calls the scalar solver where the
+quadrature of interval masses, which solves node by node where the
 rewrite runs batched sweeps; the column-major Anderson kernel, which
 shares the reduced map and the mixing constants with its rewrite; the
 np.unique-based construction of ReducedProfile; and the per-function
@@ -23,7 +23,8 @@ import numpy as np
 from scipy import integrate
 
 from hadspec.core import DensityCurve, EmpiricalDistribution, ReducedProfile
-from hadspec.fixed_point import _DEPTH, _REG, SolverConfig, _map, row_denominators, solve_e0
+from hadspec.fixed_point import (_DEPTH, _REG, SolverConfig, _map, batch_G, row_denominators,
+                                 solve_batch)
 from hadspec.random_spectra import _draw
 from hadspec.metrics import TestFunctionIndex
 from hadspec.stieltjes import QuadratureStallError
@@ -367,7 +368,7 @@ def plan_truncation_full_loop(profile, epsilon: float):
 
 def cdf_interval_quad(profile, a: float, b: float, eta,
                       solver_cfg: SolverConfig | None = None) -> float:
-    """Reference interval mass: scipy.integrate.quad over per-node solve_e0.
+    """Reference interval mass: scipy.integrate.quad over one solve_batch per node.
     hadspec.stieltjes.cdf_interval (Gauss panels on batched sweeps) must
     agree with it.
 
@@ -395,13 +396,14 @@ def cdf_interval_quad(profile, a: float, b: float, eta,
     cache: list[tuple[float, np.ndarray]] = []
 
     def im_g(x: float) -> float:
+        # continue from the nearest converged node's reduced solution
         warm = None
         if cache:
             warm = min(cache, key=lambda item: abs(item[0] - x))[1]
-        sol = solve_e0(profile, complex(x, eta), scfg, warm_start=warm)
-        if sol.converged:
-            cache.append((x, sol.e0))
-        return sol.g.imag / np.pi
+        e_red, res, _ = solve_batch(profile, [x], eta, scfg, warm=warm)
+        if res[0] <= scfg.tol:
+            cache.append((x, e_red))
+        return batch_G(profile, e_red, [x], eta)[0].imag / np.pi
 
     interior = [x for x in (0.0,) if a < x < b]
     with warnings.catch_warnings():

@@ -43,7 +43,7 @@ def uncertify(monkeypatch):
     point (sqrt(x) + i eta)^2.  G, the certificate, the iterates and every
     other point are left as solved.  A later call replaces the pattern.
     Returns the list of the zs that _finish has seen, one array per level
-    of each sweep (and one per atom solve), in order.
+    of each sweep, in order; the atom's solve_grid block is not among them.
     """
     finish, seen = stieltjes._finish, []
 

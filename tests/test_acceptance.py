@@ -30,6 +30,7 @@ from hadspec import (
     validate_profile,
 )
 from hadspec.experiments import default_x_grid
+from hadspec.fixed_point import SolverConfig, _finish, solve_batch
 from hadspec.metrics import TAIL_BOUND
 from hadspec.random_spectra import truncated_moments
 from hadspec.stieltjes import density_curve
@@ -150,15 +151,13 @@ def test_criterion_5_monte_carlo_agreement():
 def test_criterion_6_uniqueness_probe(rand_profiles_50x100):
     """20 random upper-half-plane starts all land on the same fixed point."""
     profile = rand_profiles_50x100[1]
-    z = 0.5 + 0.2j
+    z = np.full(20, 0.5 + 0.2j)
     rng = np.random.default_rng(606)
-    sols = []
-    for _ in range(20):
-        warm = rng.uniform(-2, 2, profile.N) + 1j * rng.uniform(1e-3, 3.0, profile.N)
-        sols.append(solve_e0(profile, z, warm_start=warm))
-    base = sols[0].e0
-    spread = max(np.max(np.abs(s.e0 - base)) for s in sols[1:])
-    converged = all(s.converged for s in sols)
+    shape = (profile.reduced.d2.shape[1], 20)       # one reduced start per point
+    warm = rng.uniform(-2, 2, shape) + 1j * rng.uniform(1e-3, 3.0, shape)
+    e_red, res, _ = solve_batch(profile, z.real, z.imag, warm=warm)
+    converged = _finish(profile, e_red, z, res, SolverConfig().tol)[3].all()
+    spread = np.max(np.abs(e_red - e_red[:, :1]))
     report("criterion 6 (uniqueness probe)",
            converged and spread <= 1e-8,
            f"20 starts, sup-distance spread {spread:.2e}")

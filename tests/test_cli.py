@@ -199,6 +199,27 @@ class TestDensityCommand:
         assert manifest["options"]["total_mass"] < 0.82
         assert manifest["options"]["atom_at_zero"] < 1e-6
 
+    def test_one_point_grid_refused(self, tmp_path, monkeypatch, capsys):
+        # one point integrates no density: a usage fault, not a stalled quadrature
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["density", "--profile", "ones", "--n", "8", "--N", "8",
+                        "--points", "1"]) == 1
+        assert "ValueError: x_grid must hold at least 2 points" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_manifest_trace_holds_the_level_records(self, tmp_path):
+        # one solver record per eta level, under the unhashed trace
+        args = ["density", "--profile", "iid_uniform:0,2", "--n", "12", "--N", "16",
+                "--seed", "4"]
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        assert run_cli(args + ["-o", a]) == 0 and run_cli(args + ["-o", b]) == 0
+        ma, mb = read_json(a + ".manifest.json"), read_json(b + ".manifest.json")
+        levels = ma["trace"]["levels"]
+        assert [lv["eta"] for lv in levels] == [1e-2, 5e-3, 2.5e-3]
+        assert all(lv["unconverged"] == 0 and lv["rho_max"] < 1.0 for lv in levels)
+        assert mb["trace"]["levels"] == levels
+        assert "levels" not in ma["options"] and ma["config_hash"] == mb["config_hash"]
+
     def test_unread_generator_argument_refused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert run_cli(["density", "--profile", "constant:1,5", "--n", "16", "--N", "16"]) == 1
@@ -517,6 +538,10 @@ class TestCompareManifest:
             assert all(rec[k] >= 0 for k in ("plan_s", "invert_s", "simulate_s", "compare_s"))
         # each size's measured atom at 0: a square constant profile has none
         assert cells["16x16"]["atom_at_zero"] == cells["24x24"]["atom_at_zero"] < 1e-6
+        # the inverting size carries one solver record per eta level; the reusing one none
+        assert [lv["eta"] for lv in cells["16x16"]["levels"]] == [1e-2, 5e-3, 2.5e-3]
+        assert mb["trace"]["cells"]["16x16"]["levels"] == cells["16x16"]["levels"]
+        assert "levels" not in cells["24x24"]
         assert all("negative_mass" not in rec for rec in cells.values())
 
 

@@ -178,13 +178,29 @@ class TestEmpiricalDistribution:
 
     def test_cdf_step(self):
         d = EmpiricalDistribution(np.array([1.0, 2.0, 3.0]))
-        assert d.cdf(0.5) == 0.0
-        assert d.cdf(1.0) == pytest.approx(1 / 3)
+        assert d.cdf_at(0.5) == 0.0
+        assert d.cdf_at(1.0) == pytest.approx(1 / 3)
         assert d.cdf_left(1.0) == 0.0
-        assert d.cdf(10.0) == 1.0
+        assert d.cdf_at(10.0) == 1.0
+
+    @pytest.mark.parametrize("atoms", [[0.0, np.nan, 1.0], [np.inf], [-np.inf, 0.0]])
+    def test_nonfinite_refused(self, atoms):
+        with pytest.raises(ValueError, match="finite values"):
+            EmpiricalDistribution(np.array(atoms))
 
 
 class TestDensityCurve:
+    @pytest.mark.parametrize("xs, rho_s, atom", [
+        ([0.25, np.nan], [1.0, 1.0], 0.0), ([0.25, np.inf], [1.0, 1.0], 0.0),
+        ([0.25, 1.0], [np.nan, 1.0], 0.0), ([0.25, 1.0], [1.0, np.inf], 0.0),
+        ([0.25, 1.0], [1.0, 1.0], np.nan), ([0.25, 1.0], [1.0, 1.0], np.inf),
+        ([0.25, 1.0], [1.0, 1.0], -3.0)])
+    def test_nonfinite_or_negative_atom_refused(self, xs, rho_s, atom):
+        # an atom of -3 once gave total_mass -0.17
+        with pytest.raises(ValueError, match="must be finite, atom_at_zero nonnegative"):
+            DensityCurve(xs=np.array(xs), rho_s=np.array(rho_s), eta_used=(1e-2,),
+                         atom_at_zero=atom)
+
     def test_invariants_enforced(self):
         xs = np.array([0.25, 1.0])
         with pytest.raises(ValueError, match="rho_s must be nonnegative"):

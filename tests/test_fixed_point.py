@@ -1,3 +1,7 @@
+import ast
+import inspect
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -115,12 +119,11 @@ class TestSolveE0:
         assert rel <= 1e-4
 
     def test_warm_start_from_solution_is_instant(self, rand_profile):
-        z = 1.2 + 0.4j
-        sol = solve_e0(rand_profile, z)
-        again = solve_e0(rand_profile, z, warm_start=sol.e0)
-        assert again.converged
-        assert again.iterations <= 2
-        assert again.residual <= 1e-12
+        # the one warm start is solve_batch's reduced block
+        e_red, _, _ = solve_batch(rand_profile, [1.2], 0.4)
+        _, res, iters = solve_batch(rand_profile, [1.2], 0.4, warm=e_red)
+        assert iters[0] <= 2
+        assert res[0] <= 1e-12
 
     def test_bound_on_solution(self, rand_profile):
         for z in (0.5 + 0.2j, 2.0 + 1.0j):
@@ -147,9 +150,20 @@ class TestSolveE0:
         assert abs(sol.g - mp_stieltjes_root(1 + 1e-3j, 1.0)) <= 1e-10
 
     def test_warm_start_must_lie_in_upper_half_plane(self, rand_profile):
-        bad = np.full(rand_profile.N, 1.0 - 0.1j)
+        bad = np.full((rand_profile.reduced.d2.shape[1], 1), 1.0 - 0.1j)
         with pytest.raises(ValueError, match="every component must have positive imaginary part"):
-            solve_e0(rand_profile, 1j, warm_start=bad)
+            solve_batch(rand_profile, [0.0], 1.0, warm=bad)
+
+    def test_warm_start_shape_checked(self, rand_profile):
+        # one reduced column per point: a single column once came back as
+        # one solution for three points, at a converged residual
+        e_red, _, _ = solve_batch(rand_profile, [0.5], 0.2)
+        for warm in (e_red, np.ones((rand_profile.N + 1, 1)) * 1j):
+            with pytest.raises(ValueError, match="one reduced column per point"):
+                solve_batch(rand_profile, [0.5, 1.0, 1.5], 0.2, warm=warm)
+
+    def test_no_warm_start_parameter(self):
+        assert "warm_start" not in inspect.signature(solve_e0).parameters
 
     def test_converged_implies_certified(self, rand_profile):
         sol = solve_e0(rand_profile, 0.5 + 0.1j)
@@ -157,26 +171,25 @@ class TestSolveE0:
         assert sol.rho_C0 < 1.0
 
     def test_uniqueness_probe_quick(self, rand_profile):
+        # five random reduced starts at one z, as one block
         rng = np.random.default_rng(11)
-        z = 0.5 + 0.2j
-        sols = []
-        for _ in range(5):
-            warm = random_upper(rng, rand_profile.N, scale=2.0)
-            sols.append(solve_e0(rand_profile, z, warm_start=warm).e0)
-        base = sols[0]
-        for s in sols[1:]:
-            assert np.max(np.abs(s - base)) <= 1e-8
+        nc = rand_profile.reduced.d2.shape[1]
+        warm = random_upper(rng, 5 * nc, scale=2.0).reshape(nc, 5)
+        e_red, res, _ = solve_batch(rand_profile, np.full(5, 0.5), 0.2, warm=warm)
+        assert np.all(res <= 1e-12)
+        assert np.max(np.abs(e_red - e_red[:, :1])) <= 1e-8
 
     def test_continuity_in_z(self, rand_profile):
         z = 1.0 + 0.3j
         dz = 1e-6
-        sol = solve_e0(rand_profile, z)
-        sol2 = solve_e0(rand_profile, z + dz, warm_start=sol.e0)
-        A = cross_contraction_matrix(rand_profile, sol.e0, sol.e0, z)
-        denom = row_denominators(rand_profile, sol.e0, z)
+        e_red, _, _ = solve_batch(rand_profile, [z.real], z.imag)
+        e2_red, _, _ = solve_batch(rand_profile, [z.real + dz], z.imag, warm=e_red)
+        e, e2 = (_expand(rand_profile.reduced, f[:, 0]) for f in (e_red, e2_red))
+        A = cross_contraction_matrix(rand_profile, e, e, z)
+        denom = row_denominators(rand_profile, e, z)
         b = rand_profile.squared.T @ (1.0 / denom**2) / rand_profile.n
         K = np.max(np.abs(np.linalg.solve(np.eye(rand_profile.N) - A, b)))
-        assert np.max(np.abs(sol2.e0 - sol.e0)) <= 1.1 * K * dz
+        assert np.max(np.abs(e2 - e)) <= 1.1 * K * dz
 
 
 class TestEvaluateG:
@@ -293,13 +306,14 @@ class TestCertificate:
 class TestCrossContraction:
     def test_cauchy_schwarz_entrywise_and_spectral(self, rand_profile):
         z = 0.9 + 0.25j
-        sol = solve_e0(rand_profile, z)
+        e_red, _, _ = solve_batch(rand_profile, [z.real], z.imag)
         rng = np.random.default_rng(5)
-        warm = sol.e0 * (1 + 0.001 * rng.uniform(-1, 1, rand_profile.N))
-        sol_bar = solve_e0(rand_profile, z, warm_start=warm)
-        A = cross_contraction_matrix(rand_profile, sol.e0, sol_bar.e0, z)
-        diag = build_certificate(rand_profile, sol)
-        diag_bar = build_certificate(rand_profile, sol_bar)
+        warm = e_red * (1 + 0.001 * rng.uniform(-1, 1, e_red.shape))
+        e_bar, _, _ = solve_batch(rand_profile, [z.real], z.imag, warm=warm)
+        both = np.hstack([e_red, e_bar])
+        e, e_bar = _expand(rand_profile.reduced, both).T
+        A = cross_contraction_matrix(rand_profile, e, e_bar, z)
+        diag, diag_bar = _oracle_certificates(rand_profile, both, [z.real] * 2, z.imag)
         geom = np.sqrt(diag.C0 * diag_bar.C0)
         assert np.all(np.abs(A) <= geom + 1e-12)
         rho_A = np.max(np.abs(np.linalg.eigvals(A)))
@@ -310,15 +324,14 @@ class TestCrossContraction:
         # e - e_bar = A (e - e_bar) holds when both are exact solutions;
         # at residual 1e-12 the relation holds to matching precision
         z = 1.1 + 0.4j
-        sol = solve_e0(rand_profile, z)
+        e_red, _, _ = solve_batch(rand_profile, [z.real], z.imag)
+        # the same z from a random reduced start
         rng = np.random.default_rng(9)
-        sol_bar = solve_e0(rand_profile, z + 1e-4,
-                           warm_start=random_upper(rng, rand_profile.N))
-        A = cross_contraction_matrix(rand_profile, sol.e0, sol_bar.e0, z)
-        # same z pair: use two random starts at identical z
-        sol2 = solve_e0(rand_profile, z, warm_start=random_upper(rng, rand_profile.N))
-        A2 = cross_contraction_matrix(rand_profile, sol.e0, sol2.e0, z)
-        diff = sol.e0 - sol2.e0
+        warm = random_upper(rng, rand_profile.reduced.d2.shape[1])[:, None]
+        e2_red, _, _ = solve_batch(rand_profile, [z.real], z.imag, warm=warm)
+        e, e2 = (_expand(rand_profile.reduced, f[:, 0]) for f in (e_red, e2_red))
+        A2 = cross_contraction_matrix(rand_profile, e, e2, z)
+        diff = e - e2
         assert np.max(np.abs(diff - A2 @ diff)) <= 1e-10
 
 
@@ -380,10 +393,10 @@ class TestSolveGrid:
         assert all(np.array_equal(s.e0, t.e0) and s.iterations == t.iterations
                    for s, t in zip((a, b), again))
         # and re-solving with the same warm start is fully deterministic
-        s1 = solve_e0(rand_profile, 1.0 + 0.5j, warm_start=a.e0)
-        s2 = solve_e0(rand_profile, 1.0 + 0.5j, warm_start=a.e0)
-        assert np.array_equal(s1.e0, s2.e0)
-        assert s1.iterations == s2.iterations
+        warm, _, _ = solve_batch(rand_profile, [1.0], 0.5)
+        s1, s2 = (solve_batch(rand_profile, [1.0], 0.5, warm=warm) for _ in range(2))
+        assert np.array_equal(s1[0], s2[0])
+        assert np.array_equal(s1[2], s2[2])
 
     def test_two_point_continuation_measured(self, ones16):
         """solve_grid cold-starts every point; only near-duplicate warm starts pay.
@@ -397,16 +410,18 @@ class TestSolveGrid:
         purpose and is re-measured when the start changes.
         """
         grid = ZGrid((SpectralPoint(0.0, 10.0), SpectralPoint(0.0, 1.0)))
-        first, second = solve_grid(ones16, grid)
+        _, second = solve_grid(ones16, grid)
         cold = solve_e0(ones16, 1j)
-        warm = solve_e0(ones16, 1j, warm_start=first.e0)
-        assert second.converged and cold.converged and warm.converged
+        e_first, _, _ = solve_batch(ones16, [0.0], 10.0)
+        e_cold, _, _ = solve_batch(ones16, [0.0], 1.0)
+        _, res, warm = solve_batch(ones16, [0.0], 1.0, warm=e_first)
+        assert second.converged and cold.converged and res[0] <= 1e-12
         assert second.iterations == cold.iterations
-        assert warm.iterations <= cold.iterations + 2
-        print(f"\ncontinuation 10i->i: warm {warm.iterations} vs cold {cold.iterations}")
+        assert warm[0] <= cold.iterations + 2
+        print(f"\ncontinuation 10i->i: warm {warm[0]} vs cold {cold.iterations}")
         # near-duplicate points: the one regime where warm starts halve the cost
-        near = solve_e0(ones16, 1e-9 + 1j, warm_start=cold.e0)
-        assert near.iterations <= cold.iterations / 2
+        _, _, near = solve_batch(ones16, [1e-9], 1.0, warm=e_cold)
+        assert near[0] <= cold.iterations / 2
 
     def test_mixed_grid_matches_per_point_solve_e0(self, rand_profile):
         """A block solve and per-point solves agree, converged or not.
@@ -705,3 +720,20 @@ class TestSolverConfig:
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
+
+
+def test_only_fixed_point_names_iterate():
+    # every solve path enters the kernel inside fixed_point: other modules
+    # reach it through solve_grid, solve_e0 or solve_batch
+    def names(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    package = pathlib.Path(fp.__file__).parent
+    users = sorted(p.name for p in package.glob("*.py") if "_iterate" in set(names(p)))
+    assert users == ["fixed_point.py"]

@@ -242,7 +242,7 @@ class TestKSDistance:
         curve = density_curve(profile, InversionConfig(x_grid=default_x_grid(profile)))
         assert curve.cdf_at(-1e-300) == 0.0
         for spectrum in empirical_spectrum(profile, EntrySampler("gaussian"), trials=3, seed=9):
-            floor = max(spectrum.cdf_left(0.0), abs(spectrum.cdf(0.0) - curve.atom_at_zero))
+            floor = max(spectrum.cdf_left(0.0), abs(spectrum.cdf_at(0.0) - curve.atom_at_zero))
             assert floor < 1e-6
             assert ks_distance(spectrum, curve) >= floor - 1e-12
 
@@ -258,6 +258,42 @@ class TestKSDistance:
         # a spectrum with no zero misses the whole jump, which 0 need not be an atom to show
         none = EmpiricalDistribution((np.arange(100) + 0.5) / 100)
         assert ks_distance(none, curve) >= 0.5
+
+
+class TestKSAnyPair:
+    """ks_distance is one formula for any two distributions."""
+
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(31)
+        spectrum = EmpiricalDistribution(np.sort(np.r_[np.zeros(20), rng.uniform(-0.1, 4.4, 80)]))
+        curve, curve_atom = _mp_curve(0.0), _mp_curve(0.3)
+        # the uniform law on [0, 1] (rho_s = s there) on knots of its own
+        xs = (np.sqrt(1.2) * (np.arange(157) + 0.5) / 157) ** 2
+        uniform = DensityCurve(xs=xs, rho_s=np.where(xs <= 1.0, np.sqrt(xs), 0.0),
+                               eta_used=(1e-2,))
+        return [(curve, curve_atom), (curve, uniform), (uniform, curve_atom),
+                (curve, spectrum), (curve_atom, spectrum), (spectrum, spectrum)]
+
+    def test_symmetric(self):
+        for F, G in self._pairs():
+            assert ks_distance(F, G) == ks_distance(G, F)
+
+    def test_no_grid_point_exceeds_it(self):
+        # 10^5 points uniform in sign(x) sqrt|x| on [-5, 5], 0 among them
+        s = np.linspace(-np.sqrt(5.0), np.sqrt(5.0), 100_001)
+        x = np.sign(s) * s ** 2
+        assert 0.0 in x
+        for F, G in self._pairs():
+            ks = ks_distance(F, G)
+            seen = np.max(np.abs(F.cdf_at(x) - G.cdf_at(x)))
+            assert seen <= ks + 1e-15
+            assert seen >= 0.99 * ks
+
+    def test_unsupported_type_raises(self):
+        for F, G in [(np.array([0.0]), delta(0.0)), (_mp_curve(0.0), [0.0, 1.0])]:
+            with pytest.raises(TypeError, match="cannot compare"):
+                ks_distance(F, G)
 
 
 class TestWassersteinBound:

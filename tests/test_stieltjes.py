@@ -375,6 +375,8 @@ class TestInversionConfig:
             InversionConfig(x_grid=np.array([]))
         with pytest.raises(ValueError):
             InversionConfig(x_grid=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="x_grid must hold at least 2 points"):
+            InversionConfig(x_grid=np.array([0.5]))
         for etas in [(1e-3, 1e-2), (), (1e-2, 1e-2), (1e-2, np.nan), (np.inf, 1e-2), (1e-2, 0.0)]:
             with pytest.raises(ValueError):
                 InversionConfig(x_grid=np.array([0.5, 1.0]), eta_sequence=etas)
