@@ -20,16 +20,10 @@ from .core import (
     ZGrid,
     validate_profile,
 )
-from .fixed_point import SolverConfig, build_certificate, row_denominators, solve_e0, solve_grid
-from .stieltjes import InversionConfig, cdf_interval, density_curve, mass_check
-from .random_spectra import (
-    EntrySampler,
-    build_B,
-    empirical_spectrum,
-    hermitian_eigenvalues,
-    truncate_center_rescale,
-)
-from .metrics import TestFunctionIndex, d_metric, ks_distance
+from .fixed_point import SolverConfig, solve_grid
+from .stieltjes import InversionConfig, density_curve
+from .random_spectra import EntrySampler, empirical_spectrum
+from .metrics import d_metric, ks_distance
 from .tightness import plan_truncation, truncate_profile
 from .experiments import ExperimentSpec, make_profile, run_experiment
 

@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .core import SpectralPoint, WeightProfile, ZGrid
 from .experiments import ExperimentSpec, default_x_grid, make_profile, run_experiment
-from .fixed_point import SolverConfig, solve_e0, solve_grid
+from .fixed_point import SolverConfig, solve_grid
 from .random_spectra import EntrySampler, FAMILIES, empirical_spectrum
 from .stieltjes import DEFAULT_ETAS, InversionConfig, _eta_schedule, density_curve
 from .tightness import plan_truncation
@@ -283,9 +283,9 @@ def cmd_mp_check(args) -> int:
     cfg = solver_from(args)
     # an appended option extends its default, so the fallback point lives here
     zs = args.z or [complex(0, 1)]
+    sols = solve_grid(profile, ZGrid(tuple(SpectralPoint(z.real, z.imag) for z in zs)), cfg)
     worst = 0.0
-    for z in zs:
-        sol = solve_e0(profile, z, cfg)
+    for z, sol in zip(zs, sols):
         oracle = _mp_root(z, c)
         diff = abs(sol.g - oracle)
         worst = max(worst, diff)

@@ -31,7 +31,7 @@ class EmptyMatrixError(ProfileValidationError):
 class NegativeEntryError(ProfileValidationError):
     def __init__(self, i, j, value):
         self.i, self.j, self.value = int(i), int(j), float(value)
-        super().__init__(f"negative weight {value!r} at row {i}, column {j} (0-based)")
+        super().__init__(f"negative weight {self.value!r} at row {i}, column {j} (0-based)")
 
 
 class NonFiniteEntryError(ProfileValidationError):

@@ -46,8 +46,8 @@ def make_profile(generator: str, n: int, N: int, seed: int = 0) -> WeightProfile
     Specs: "constant[:value]", "ones", "block:l1,l2,...", "iid_uniform:lo,hi",
     "spiked:k,height".  Arguments left out take their defaults (iid_uniform's
     two together); an argument count the generator does not read, more
-    block levels than rows, or a spike count that is not an integer in
-    [0, n N], is refused.
+    block levels than rows, an iid_uniform range with lo > hi, or a spike
+    count that is not an integer in [0, n N], is refused.
     Random generators derive their stream from (seed, n, N) so every size
     is reproducible independently.
     """
@@ -59,6 +59,8 @@ def make_profile(generator: str, n: int, N: int, seed: int = 0) -> WeightProfile
     if name == "spiked" and args and not (args[0].is_integer() and 0 <= args[0] <= n * N):
         raise ValueError(f"profile generator {generator!r}: the spike count must be an "
                          f"integer in [0, {n * N}]")
+    if name == "iid_uniform" and args and not args[0] <= args[1]:
+        raise ValueError(f"profile generator {generator!r}: iid_uniform needs lo <= hi")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(n), int(N)]))
     if name == "ones":
         return validate_profile(np.ones((n, N)))

@@ -329,7 +329,8 @@ def _certify(profile: WeightProfile, e_red: np.ndarray, denom: np.ndarray, v):
     argument as a number.
     """
     red = profile.reduced
-    inv_abs2 = 1.0 / np.abs(denom) ** 2                         # (nr, P)
+    with np.errstate(over="ignore"):        # |denom|^2 overflows to inf for |z| > 1e154
+        inv_abs2 = 1.0 / np.abs(denom) ** 2                     # (nr, P)
     col_w = profile.c / np.abs(1.0 + profile.c * e_red) ** 2    # (nc, P)
     e2 = e_red.imag
     c0_e2 = red.outer @ (inv_abs2 * (red.inner @ (col_w * e2)))
@@ -349,11 +350,17 @@ def _finish(profile: WeightProfile, e_red: np.ndarray, zs: np.ndarray, res, tol:
     """The tail of every solve path: (G, rho bound, identity defect, certified) per column.
 
     Column p of e_red is solved at zs[p] with residual res[p]; its
-    denominators are formed once and feed both G and _certify.
+    denominators are formed once and feed both G and _certify.  A point so
+    far out that Im e or Im G (about Im z / |z|^2) underflows to 0 is refused.
     """
     denom = _denominators(profile.reduced, profile.c, e_red, zs)
+    g = _reduced_G(profile, denom)
+    lost = (e_red.imag <= 0).any(axis=0) | (g.imag <= 0)
+    if lost.any():
+        raise ValueError(f"z = {complex(zs[lost][0])}: Im e0(z) or Im G(z), of order Im z / |z|^2, "
+                         "underflows to 0 in double precision")
     rho, defect = _certify(profile, e_red, denom, zs.imag)
-    return _reduced_G(profile, denom), rho, defect, certified(res, rho, tol)
+    return g, rho, defect, certified(res, rho, tol)
 
 
 def build_certificate(profile: WeightProfile, sol: FixedPointSolution) -> ContractionDiagnostics:
@@ -392,11 +399,7 @@ def _iterate(profile: WeightProfile, zs: np.ndarray, cfg: SolverConfig, e=None):
 
 
 def solve_e0(profile: WeightProfile, z, cfg: SolverConfig | None = None) -> FixedPointSolution:
-    """Solve the coupled system at one point of the upper half-plane: solve_grid at z.
-
-    The iterate never leaves the upper half-plane; on hitting max_iter the
-    best iterate is returned with converged=False rather than raising.
-    """
+    """solve_grid at the one point z of the upper half-plane."""
     z = _as_z(z)
     return solve_grid(profile, ZGrid((SpectralPoint(z.real, z.imag),)), cfg)[0]
 

@@ -16,24 +16,20 @@ from hadspec import (
     ExperimentSpec,
     InversionConfig,
     ZGrid,
-    build_B,
     d_metric,
-    hermitian_eigenvalues,
     ks_distance,
     make_profile,
-    mass_check,
     plan_truncation,
     run_experiment,
-    solve_e0,
     solve_grid,
-    truncate_center_rescale,
     validate_profile,
 )
 from hadspec.experiments import default_x_grid
-from hadspec.fixed_point import SolverConfig, _finish, solve_batch
+from hadspec.fixed_point import SolverConfig, _finish, solve_batch, solve_e0
 from hadspec.metrics import TAIL_BOUND
-from hadspec.random_spectra import truncated_moments
-from hadspec.stieltjes import density_curve
+from hadspec.random_spectra import (build_B, hermitian_eigenvalues, truncate_center_rescale,
+                                    truncated_moments)
+from hadspec.stieltjes import density_curve, mass_check
 
 from _oracles import brute_force_min_M, iterate_e, mp_stieltjes_root, sample_matrix
 

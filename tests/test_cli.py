@@ -282,6 +282,16 @@ class TestSolveCommand:
         header, row = (line.split(",") for line in read_text(out).strip().splitlines())
         assert float(dict(zip(header, row))["x"]) == -0.5
 
+    def test_far_point_is_solved_or_refused_in_one_line(self, tmp_path, monkeypatch, capsys):
+        # Im G ~ Im z / |z|^2 underflows to 0 at 1e300 and is subnormal at 1e160
+        monkeypatch.chdir(tmp_path)
+        argv = ["solve", "--profile", "ones", "--n", "4", "--N", "4", "--z"]
+        assert run_cli(argv + ["1e300+1i"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: z = (1e+300+1j): ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+        assert run_cli(argv + ["1e160+1i"]) == 0
+
     def test_missing_required_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--profile", "ones", "--n", "4", "--N", "4"])
@@ -361,7 +371,7 @@ def test_readme_quick_tour_runs(tmp_path, monkeypatch):
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         tour = fh.read().split("## Library quick tour", 1)[1]
     code = tour.split("```python\n", 1)[1].split("```", 1)[0]
-    assert "hs.solve_e0" in code
+    assert "hs.solve_grid" in code
     monkeypatch.chdir(tmp_path)
     exec(compile(code, "README.md quick tour", "exec"), {})
 

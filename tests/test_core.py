@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -63,6 +64,20 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_root_exports_the_user_api_only():
+    # one public solve (solve_grid); reference oracles, benchmark-only
+    # checks and empirical_spectrum's internals stay in their modules
+    names = {name for name, value in vars(hadspec).items()
+             if not name.startswith("_") and not inspect.ismodule(value)}
+    assert names == {
+        "DensityCurve", "EmpiricalDistribution", "EmptyMatrixError", "FixedPointSolution",
+        "NegativeEntryError", "ProfileValidationError", "SpectralPoint", "WeightProfile",
+        "ZGrid", "ZeroColumnError", "validate_profile", "SolverConfig", "solve_grid",
+        "InversionConfig", "density_curve", "EntrySampler", "empirical_spectrum", "d_metric",
+        "ks_distance", "plan_truncation", "truncate_profile", "ExperimentSpec", "make_profile",
+        "run_experiment"}
+
+
 class TestValidateProfile:
     def test_all_ones_valid(self):
         p = validate_profile(np.ones((2, 2)))
@@ -75,7 +90,9 @@ class TestValidateProfile:
         assert err.value.k == 1  # 0-based second column
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(NegativeEntryError) as err:
+        # the message shows the float, not numpy's np.float64(-0.5)
+        with pytest.raises(NegativeEntryError,
+                           match=r"^negative weight -0\.5 at row 0, column 0 ") as err:
             validate_profile([[-0.5, 1.0], [1.0, 1.0]])
         assert (err.value.i, err.value.j) == (0, 0)
         assert err.value.value == -0.5

@@ -63,10 +63,10 @@ class TestMakeProfile:
 
     @pytest.mark.parametrize("spec, n, N", [("spiked:-1", 4, 4), ("spiked:100,9", 4, 4),
                                             ("spiked:17,9", 4, 4), ("block:1,2,3", 2, 4),
-                                            ("block", 1, 4)])
+                                            ("block", 1, 4), ("iid_uniform:2,0", 4, 4)])
     def test_refuses_what_the_shape_cannot_hold(self, spec, n, N):
-        # spiked:100,9 on 4x4 once planted 16 spikes, spiked:-1 failed in
-        # numpy, and block:1,2,3 on 2 rows was block:1,2
+        # spiked:100,9 on 4x4 once planted 16 spikes, spiked:-1 and
+        # iid_uniform:2,0 failed in numpy, and block:1,2,3 on 2 rows was block:1,2
         with pytest.raises(ValueError, match=re.escape(repr(spec))):
             make_profile(spec, n, N)
 

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,6 @@ from hadspec import (
     SolverConfig,
     SpectralPoint,
     ZGrid,
-    build_certificate,
-    row_denominators,
-    solve_e0,
     solve_grid,
     validate_profile,
 )
@@ -26,8 +24,11 @@ from hadspec.fixed_point import (
     _hermitian_solve,
     _map,
     batch_G,
+    build_certificate,
     certified,
+    row_denominators,
     solve_batch,
+    solve_e0,
     spectral_radius_nonneg,
 )
 
@@ -223,6 +224,45 @@ class TestEvaluateG:
         with pytest.raises(ValueError):
             evaluate_G(rand_profile, sol)
         evaluate_G(rand_profile, sol, strict=False)
+
+
+def _moments(profile):
+    # m1 = (1/n) sum_i r_i and m2 = (1/n) sum_i r_i^2 + (n/N^2) sum_k t_k^2, with
+    # r_i = (1/N) sum_k d_ik^2 and t_k = (1/n) sum_i d_ik^2
+    r, t = profile.squared.mean(axis=1), profile.column_masses
+    return r.mean(), (r ** 2).mean() + profile.n / profile.N ** 2 * (t ** 2).sum()
+
+
+class TestLargeZMoments:
+    @pytest.mark.parametrize("spec, n, N", [("iid_uniform:0,2", 64, 64), ("spiked:6,20", 64, 48),
+                                            ("block:0.5,1.5", 40, 80), ("constant", 30, 60)])
+    def test_closed_forms_match_the_expansion_of_G(self, spec, n, N):
+        # G = -1/z - m1/z^2 - m2/z^3 - m3/z^4 - ..., so z^3 (G + 1/z + m1/z^2) + m2
+        # is the m3/z term: at |z| = 1e4 within 2.5e-3 of m2, 10x less per decade
+        profile = make_profile(spec, n, N)
+        m1, m2 = _moments(profile)
+        zs = np.array([1e3j, 1e4j])
+        sols = solve_grid(profile, ZGrid(tuple(SpectralPoint(0.0, z.imag) for z in zs)))
+        err = [abs(z ** 3 * (sol.g + 1 / z + m1 / z ** 2) + m2) / m2 for z, sol in zip(zs, sols)]
+        assert err[1] <= 2.5e-3
+        assert 9.0 <= err[0] / err[1] <= 11.0
+
+    def test_closed_forms_are_marchenko_pastur_on_constant_profiles(self):
+        # 1 and 1 + c with c = n/N
+        assert _moments(make_profile("constant", 30, 60)) == pytest.approx((1.0, 1.5), rel=1e-15)
+
+
+class TestFarPoints:
+    # Im e0 and Im G are of order Im z / |z|^2: subnormal at |z| = 1e160, 0 past 1e162
+    def test_far_point_is_certified_without_warnings(self):
+        # the suite turns warnings into errors: |denominator|^2 overflows here
+        sol = solve_e0(make_profile("ones", 4, 4), 1e160 + 1j)
+        assert sol.converged and sol.g.imag > 0
+
+    @pytest.mark.parametrize("z", [1e200 + 1j, 1e300 + 1j])
+    def test_underflowing_point_is_refused(self, z):
+        with pytest.raises(ValueError, match="^" + re.escape(f"z = {z}: ") + ".* underflows to 0"):
+            solve_e0(make_profile("ones", 4, 4), z)
 
 
 class TestCertificate:

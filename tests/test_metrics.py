@@ -7,14 +7,13 @@ import pytest
 from hadspec import (
     DensityCurve,
     EmpiricalDistribution,
-    TestFunctionIndex,
     d_metric,
     ks_distance,
 )
 from hadspec import EntrySampler, empirical_spectrum, make_profile, validate_profile
 from hadspec.experiments import default_x_grid
 from hadspec import metrics
-from hadspec.metrics import I_MAX, TAIL_BOUND, TestIntegrals
+from hadspec.metrics import I_MAX, TAIL_BOUND, TestFunctionIndex, TestIntegrals
 from hadspec.stieltjes import InversionConfig, density_curve
 
 from _oracles import (

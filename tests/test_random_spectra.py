@@ -3,17 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hadspec import (
-    EntrySampler,
-    build_B,
-    empirical_spectrum,
-    hermitian_eigenvalues,
-    ks_distance,
-    truncate_center_rescale,
-    validate_profile,
-)
+from hadspec import EntrySampler, empirical_spectrum, ks_distance, validate_profile
 from hadspec.experiments import make_profile
-from hadspec.random_spectra import _draw, truncated_moments
+from hadspec.random_spectra import (_draw, build_B, hermitian_eigenvalues, truncate_center_rescale,
+                                    truncated_moments)
 
 from _oracles import (
     sample_matrix,

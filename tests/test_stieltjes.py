@@ -9,7 +9,7 @@ from hadspec.stieltjes import (
     density_curve,
     mass_check,
 )
-from hadspec.fixed_point import batch_G, solve_batch
+from hadspec.fixed_point import batch_G, solve_batch, solve_e0
 
 from hadspec import stieltjes
 from hadspec.experiments import default_x_grid
@@ -494,7 +494,6 @@ class TestMassCheck:
         assert report.e_defect[1e4] <= 1e-3 * scaled.column_masses.max()
 
     def test_im_g_positive_on_solved_points(self, rand_profile):
-        from hadspec import solve_e0
         for z in (0.2 + 0.05j, 1.0 + 0.01j, 3.0 + 1.0j, -2.0 + 0.5j):
             sol = solve_e0(rand_profile, z)
             assert sol.g.imag > 0

@@ -4,8 +4,6 @@ import pytest
 from hadspec import (
     EmpiricalDistribution,
     EntrySampler,
-    build_B,
-    hermitian_eigenvalues,
     ks_distance,
     plan_truncation,
     truncate_profile,
@@ -13,6 +11,7 @@ from hadspec import (
     validate_profile,
 )
 from hadspec.experiments import make_profile
+from hadspec.random_spectra import build_B, hermitian_eigenvalues
 
 from _oracles import (brute_force_min_M, greedy_plan_rescan, plan_truncation_full_loop,
                       sample_matrix)
